@@ -36,11 +36,9 @@
 //! clock domain — the full run asserts the rate split is measurably
 //! cheaper. The `partitioned` rows compare the collapsed
 //! single-backplane elaboration of a cut scenario against the same cut
-//! run as two optimistically-synchronized partitions
-//! (`cosim::partition::Orchestrator`), with a `rollback_rate` column
-//! (rollbacks per committed sync quantum) tracking how often
-//! speculation loses; the `variant` column names each side of both
-//! comparisons.
+//! run as two conservatively-synchronized partitions
+//! (`cosim::partition::Orchestrator`); the `variant` column names each
+//! side of both comparisons.
 //!
 //! Every row carries provenance for cross-machine trajectory
 //! comparisons: a `schema` version, the `git_rev` the binary was run
@@ -59,7 +57,7 @@ use cosma_sim::Duration;
 use std::time::Instant;
 
 /// Bump when row fields change meaning or shape.
-const SCHEMA_VERSION: u32 = 3;
+const SCHEMA_VERSION: u32 = 4;
 
 struct Record {
     scenario: &'static str,
@@ -77,9 +75,6 @@ struct Record {
     /// quarter-rate domain) and `partitioned` (collapsed vs split)
     /// comparison rows; `None` elsewhere.
     variant: Option<&'static str>,
-    /// Rollbacks per committed sync quantum — only meaningful for the
-    /// `partitioned` orchestrator row.
-    rollback_rate: Option<f64>,
     ns_per_run: u128,
     p50_ns: u128,
     p99_ns: u128,
@@ -182,7 +177,6 @@ fn measure(
         bus_timing,
         queue: None,
         variant: None,
-        rollback_rate: None,
         ns_per_run,
         p50_ns,
         p99_ns,
@@ -464,7 +458,6 @@ fn main() {
                 bus_timing: "payload_beats",
                 queue: Some(queue),
                 variant: None,
-                rollback_rate: None,
                 ns_per_run,
                 p50_ns,
                 p99_ns,
@@ -649,7 +642,6 @@ fn main() {
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: None,
-                rollback_rate: None,
                 ns_per_run: mean,
                 p50_ns: p50,
                 p99_ns: p99,
@@ -722,7 +714,6 @@ fn main() {
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: Some(variant),
-                rollback_rate: None,
                 ns_per_run: mean,
                 p50_ns: p50,
                 p99_ns: p99,
@@ -747,10 +738,9 @@ fn main() {
     }
 
     // Partitioned co-simulation: the same scenario run collapsed in one
-    // backplane vs cut into two optimistically-synchronized partitions.
-    // The split row pays snapshotting, staleness scans and occasional
-    // rollbacks per quantum; its `rollback_rate` column (rollbacks per
-    // committed quantum) tracks how often speculation loses.
+    // backplane vs cut into two conservatively-synchronized partitions.
+    // The split row pays one `run_until` per partition and a causality
+    // check per lookahead window (the 200 ns boundary latency).
     {
         use cosma_cosim::scenario::{build_collapsed, build_partitioned, PartitionsSpec};
         let n = if quick { 8 } else { 16 };
@@ -782,7 +772,6 @@ fn main() {
                 })
                 .collect()
         };
-        let mut rollback_rate = 0.0;
         let split: Vec<u128> = {
             let mut warm = build_partitioned(&spec, &pspec).expect("partitioned builds");
             warm.run_for(Duration::from_us(sim_us), quantum)
@@ -792,24 +781,17 @@ fn main() {
                     let mut s = build_partitioned(&spec, &pspec).expect("partitioned builds");
                     let start = Instant::now();
                     s.run_for(Duration::from_us(sim_us), quantum).expect("runs");
-                    let ns = start.elapsed().as_nanos();
-                    let stats = s.orch.stats();
-                    rollback_rate = stats.rollbacks as f64 / stats.quanta_committed.max(1) as f64;
-                    ns
+                    start.elapsed().as_nanos()
                 })
                 .collect()
         };
-        for (variant, samples, rate) in [
-            ("collapsed", collapsed, None),
-            ("split_2", split, Some(rollback_rate)),
-        ] {
+        for (variant, samples) in [("collapsed", collapsed), ("split_2", split)] {
             let (mean, p50, p99) = summarize3(samples);
             println!(
                 "{:<24} N={n:<4} par=off      bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({runs} runs, {variant}, rollback rate {:.3})",
+                 p50={p50} p99={p99}  ({runs} runs, {variant})",
                 "partitioned",
                 timing_label(&batched),
-                rate.unwrap_or(0.0)
             );
             records.push(Record {
                 scenario: "partitioned",
@@ -819,7 +801,6 @@ fn main() {
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: Some(variant),
-                rollback_rate: rate,
                 ns_per_run: mean,
                 p50_ns: p50,
                 p99_ns: p99,
@@ -861,13 +842,10 @@ fn main() {
         let variant = r
             .variant
             .map_or_else(|| "null".to_string(), |v| format!("\"{v}\""));
-        let rollback_rate = r
-            .rollback_rate
-            .map_or_else(|| "null".to_string(), |x| format!("{x:.6}"));
         json.push_str(&format!(
             "  {{\"schema\": {}, \"scenario\": \"{}\", \"n\": {}, \"parallelism\": \"{}\", \
              \"threads\": {}, \"bus_timing\": \"{}\", \"queue\": {}, \"variant\": {}, \
-             \"rollback_rate\": {}, \"ns_per_run\": {}, \
+             \"ns_per_run\": {}, \
              \"p50_ns\": {}, \"p99_ns\": {}, \"runs\": {}, \"git_rev\": \"{}\", \"cpus\": {}, \
              \"timestamp\": {}}}{}\n",
             SCHEMA_VERSION,
@@ -878,7 +856,6 @@ fn main() {
             r.bus_timing,
             queue,
             variant,
-            rollback_rate,
             r.ns_per_run,
             r.p50_ns,
             r.p99_ns,

@@ -554,8 +554,8 @@ impl DomainId {
 /// the *in* half's injector consumes the prefix whose arrival time has
 /// been reached, tracked by `cursor`. Entries are appended in
 /// nondecreasing arrival order (one exporter, constant latency), so the
-/// injector never reorders. The orchestrator snapshots `(len, cursor)`
-/// per quantum and rolls either side back by truncating/rewinding.
+/// injector never reorders. The orchestrator checks each window's new
+/// entries for causality and drops the consumed prefix per quantum.
 #[derive(Debug, Default)]
 pub(crate) struct BoundaryQueue {
     /// Latency-stamped messages: `(arrival_time, value)`.
@@ -3812,8 +3812,8 @@ impl Cosim {
         if latency == Duration::ZERO {
             return Err(CosimError::Setup(format!(
                 "boundary link {name}: latency must be positive (zero-latency coupling \
-                 would need same-instant cross-partition delivery, which the optimistic \
-                 sync cannot order deterministically)"
+                 would need same-instant cross-partition delivery, which leaves the \
+                 conservative sync no lookahead window)"
             )));
         }
         let id =

@@ -1,29 +1,33 @@
 //! Partitioned co-simulation: several backplane instances coupled
 //! through latency-annotated boundary links and synchronized
-//! optimistically.
+//! conservatively.
 //!
-//! A [`Partition`] wraps one [`Cosim`] backplane. The [`Orchestrator`]
-//! advances all partitions in lockstep *quanta*: each partition
-//! speculates one sync quantum ahead on its own, and cross-partition
+//! A [`Partition`] wraps one [`Cosim`] backplane. Cross-partition
 //! traffic travels through [`BoundarySpec`]-described boundary links —
 //! a pair of batched half-units sharing one latency-stamped message
-//! queue across the cut. Because partitions run sequentially within a
-//! quantum, a partition may consume a *stale* view of an inbound
-//! queue; the orchestrator detects this after the fact and rolls the
-//! partition back to the quantum start via the backplane's
-//! [`Snapshot`](crate::Snapshot)/[`Cosim::restore`] path, then re-runs
-//! it against the refreshed queue. With strictly positive boundary
-//! latency the fixed point converges: every rescan round extends the
-//! consistent horizon by at least one boundary latency.
+//! queue across the cut. The [`Orchestrator`] advances all partitions
+//! in *lookahead windows* no longer than the smallest boundary latency,
+//! running every partition to the window end before any partition
+//! enters the next window.
+//!
+//! That schedule is exact without speculation because a boundary has no
+//! back-pressure across the cut. The *out* half's exporter drains its
+//! link into an unbounded queue stamped `now + latency`; the *in* half
+//! injects only entries whose arrival time has been reached; nothing
+//! flows from consumer to producer. So every entry a partition can
+//! inject by a window end `w1` was exported at or before
+//! `w1 - lookahead <= w0`, i.e. by a window that has already run to
+//! completion. After every window the orchestrator checks that claim on
+//! the entries the window appended (all must arrive after `w1`) and
+//! reports a violation as [`CosimError::Runtime`].
 //!
 //! The result is bit-identical to running the same coupled structure
 //! (including the boundary half-units) in a single backplane — the
-//! property-test oracle — while opening the door to running partitions
-//! on separate threads or processes.
+//! property-test oracle.
 
-use crate::backplane::{BoundaryQueue, Cosim, CosimError, DomainId, Snapshot, UnitId};
+use crate::backplane::{BoundaryQueue, Cosim, CosimError, DomainId, UnitId};
 use cosma_comm::BusTiming;
-use cosma_core::{Type, Value};
+use cosma_core::Type;
 use cosma_sim::{Duration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,8 +60,8 @@ pub struct BoundarySpec {
     /// Bus timing of each half.
     pub timing: BusTiming,
     /// Transport latency across the cut. Must be strictly positive:
-    /// the optimistic sync relies on a nonzero horizon to order
-    /// cross-partition delivery deterministically.
+    /// the smallest boundary latency is the orchestrator's lookahead
+    /// window.
     pub latency: Duration,
 }
 
@@ -66,23 +70,20 @@ pub struct BoundarySpec {
 pub struct OrchestratorStats {
     /// Quanta fully committed.
     pub quanta_committed: u64,
-    /// Partition re-runs forced by a stale inbound-queue view.
+    /// Partition re-runs. Always 0: the conservative sync never rolls
+    /// back.
     pub rollbacks: u64,
     /// Values transported across all boundary links.
     pub boundary_messages: u64,
-    /// Consistency-scan rounds executed (one per quantum when no
-    /// rollback occurs).
+    /// Causality checks executed, one per lookahead window.
     pub rescan_rounds: u64,
 }
 
-/// One partition: a backplane plus its boundary bookkeeping.
+/// One partition: a backplane coupled to others through boundary
+/// links.
 #[derive(Debug)]
 pub struct Partition {
     cosim: Cosim,
-    /// Boundary indices whose *out* half lives here.
-    outs: Vec<usize>,
-    /// Boundary indices whose *in* half lives here.
-    ins: Vec<usize>,
 }
 
 impl Partition {
@@ -98,13 +99,22 @@ impl Partition {
     }
 }
 
-/// Couples partitions and advances them in optimistically-synchronized
-/// quanta. See the [module docs](self) for the synchronization
-/// contract. Which partitions a boundary's halves live on is recorded
-/// in the partitions' `outs`/`ins` index lists.
+/// The orchestrator's end of one boundary link.
+struct Boundary {
+    name: String,
+    queue: Rc<RefCell<BoundaryQueue>>,
+    /// Queue entries that already passed the causality check.
+    checked: usize,
+}
+
+/// Couples partitions and advances them in conservatively-synchronized
+/// lookahead windows. See the [module docs](self) for the
+/// synchronization contract.
 pub struct Orchestrator {
     partitions: Vec<Partition>,
-    boundaries: Vec<Rc<RefCell<BoundaryQueue>>>,
+    boundaries: Vec<Boundary>,
+    /// The smallest boundary latency; `None` without boundaries.
+    lookahead: Option<Duration>,
     stats: OrchestratorStats,
     now: SimTime,
     started: bool,
@@ -126,13 +136,6 @@ impl std::fmt::Debug for Orchestrator {
     }
 }
 
-/// Rescan rounds per quantum before the orchestrator gives up. The
-/// fixed point converges in at most `quantum / min_latency + 1` rounds
-/// (each round extends the consistent horizon by one boundary
-/// latency); a run that exceeds this cap indicates a latency/quantum
-/// configuration far outside anything sensible.
-const MAX_RESCAN_ROUNDS: u32 = 10_000;
-
 impl Orchestrator {
     /// An orchestrator with no partitions.
     #[must_use]
@@ -140,6 +143,7 @@ impl Orchestrator {
         Orchestrator {
             partitions: vec![],
             boundaries: vec![],
+            lookahead: None,
             stats: OrchestratorStats::default(),
             now: SimTime::ZERO,
             started: false,
@@ -153,11 +157,7 @@ impl Orchestrator {
     /// partitioned runs bit-identical to the monolithic oracle.
     pub fn add_partition(&mut self, mut cosim: Cosim) -> PartitionId {
         cosim.pin_clock_domains();
-        self.partitions.push(Partition {
-            cosim,
-            outs: vec![],
-            ins: vec![],
-        });
+        self.partitions.push(Partition { cosim });
         PartitionId(self.partitions.len() - 1)
     }
 
@@ -168,7 +168,8 @@ impl Orchestrator {
     ///
     /// Returns the unit ids of the two halves (`out`, `in`) — bind
     /// producer modules to the first on `from`, consumer modules to
-    /// the second on `to`.
+    /// the second on `to`. The smallest latency over all boundaries is
+    /// the orchestrator's lookahead window.
     ///
     /// # Errors
     ///
@@ -225,10 +226,12 @@ impl Orchestrator {
             spec.timing,
             Rc::clone(&queue),
         )?;
-        let bi = self.boundaries.len();
-        self.boundaries.push(queue);
-        self.partitions[from.0].outs.push(bi);
-        self.partitions[to.0].ins.push(bi);
+        self.boundaries.push(Boundary {
+            name: name.to_string(),
+            queue,
+            checked: 0,
+        });
+        self.lookahead = Some(self.lookahead.map_or(spec.latency, |l| l.min(spec.latency)));
         Ok((out_id, in_id))
     }
 
@@ -273,9 +276,8 @@ impl Orchestrator {
     /// # Errors
     ///
     /// [`CosimError::Setup`] when `quantum` is zero; any error a
-    /// partition run or snapshot/restore produces; and
-    /// [`CosimError::Runtime`] if a quantum's consistency scan fails
-    /// to converge.
+    /// partition run produces; and [`CosimError::Runtime`] if a
+    /// window's causality check fails.
     pub fn run_for(&mut self, total: Duration, quantum: Duration) -> Result<(), CosimError> {
         if quantum == Duration::ZERO {
             return Err(CosimError::Setup(
@@ -290,149 +292,72 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Runs one optimistic quantum `[now, t1]`: speculate every
-    /// partition to `t1`, then rescan until every partition's view of
-    /// its inbound boundary queues matches the committed producer
-    /// state, rolling stale partitions back and re-running them.
+    /// Runs one conservative quantum `(now, t1]` as a sequence of
+    /// lookahead windows `(w0, w1]`, `w1 = min(w0 + lookahead, t1)`:
+    /// every partition, in partition order, runs to `w1` before any
+    /// enters the next window, and each window ends with a causality
+    /// check of the entries it appended. Then commits the quantum by
+    /// dropping every queue's consumed prefix.
     fn run_quantum(&mut self, t1: SimTime) -> Result<(), CosimError> {
         if !self.started {
             self.started = true;
-            // Elaborate every partition before the first checkpoint: a
-            // snapshot of a never-elaborated kernel captures the empty
-            // sensitivity sets that steady-state (`Wait::Same`)
-            // processes only populate during their elaboration run, so
-            // restoring one would strand them deaf. Settling the start
-            // instant here is safe — boundary latency is strictly
-            // positive, so no cross-partition message can influence
-            // the instant it was sent at.
+            // Windows are open at their start, so the start instant is
+            // settled on its own first: an entry exported there arrives
+            // one latency later, which may be exactly the first window
+            // end.
             for p in &mut self.partitions {
                 p.cosim.run_until(self.now)?;
             }
+            self.check_causality(self.now)?;
         }
-        let n = self.partitions.len();
-        // Quantum-start checkpoint: backplane snapshots plus each
-        // queue's (length, cursor).
-        let snaps: Vec<Snapshot> = self.partitions.iter().map(|p| p.cosim.snapshot()).collect();
-        let q0: Vec<(usize, usize)> = self
-            .boundaries
-            .iter()
-            .map(|b| {
-                let q = b.borrow();
-                (q.entries.len(), q.cursor)
-            })
-            .collect();
-        // views[p][k] = what partition p saw of its k-th inbound
-        // queue's this-quantum suffix, recorded when p's run ended.
-        let mut views: Vec<Vec<Vec<(SimTime, Value)>>> = vec![vec![]; n];
-        // Initial speculation, in partition order.
-        for (p, view) in views.iter_mut().enumerate() {
-            self.partitions[p].cosim.run_until(t1)?;
-            *view = self.record_view(p, &q0);
-        }
-        // Rescan to the fixed point. A partition is consistent when,
-        // for every inbound queue, the suffix it ran against is a
-        // prefix of the current suffix *by content* and everything
-        // beyond that prefix arrives after t1 (so it could not have
-        // been injected this quantum anyway). Content comparison — not
-        // length — lets a producer that rolled back and regenerated
-        // identical traffic leave its consumers undisturbed.
-        //
-        // A stale partition is rolled back and re-run IMMEDIATELY, so
-        // the queues its rollback truncated are regenerated before any
-        // other partition's staleness is judged against them. (Judging
-        // the whole set first and re-running afterwards livelocks on
-        // cyclic cuts: two mutually-stale partitions would each
-        // truncate the other's input in the same pass, recreating the
-        // exact pre-round state forever.) Convergence with immediate
-        // re-runs follows from causality: traffic arriving within k
-        // boundary latencies of the quantum start is fixed after k
-        // rounds, so the consistent horizon outruns the quantum in
-        // `quantum / min_latency` rounds.
-        let mut rounds = 0u32;
-        loop {
-            rounds += 1;
+        let mut w0 = self.now;
+        while w0 < t1 {
+            let w1 = self.lookahead.map_or(t1, |l| w0.saturating_add(l).min(t1));
+            for p in &mut self.partitions {
+                p.cosim.run_until(w1)?;
+            }
             self.stats.rescan_rounds += 1;
-            if rounds > MAX_RESCAN_ROUNDS {
-                return Err(CosimError::Runtime(format!(
-                    "optimistic sync did not converge within {MAX_RESCAN_ROUNDS} rescan \
-                     rounds (quantum {:?}..{t1:?}); boundary latencies are implausibly \
-                     small versus the sync quantum",
-                    self.now
-                )));
-            }
-            let mut any_stale = false;
-            for (p, view) in views.iter_mut().enumerate() {
-                let stale = self.partitions[p].ins.iter().enumerate().any(|(k, &bi)| {
-                    let q = self.boundaries[bi].borrow();
-                    let cur = &q.entries[q0[bi].0..];
-                    let seen = &view[k];
-                    cur.len() < seen.len()
-                        || cur[..seen.len()] != seen[..]
-                        || cur[seen.len()..].iter().any(|(t, _)| *t <= t1)
-                });
-                if stale {
-                    any_stale = true;
-                    self.stats.rollbacks += 1;
-                    self.rollback(p, &snaps, &q0)?;
-                    self.partitions[p].cosim.run_until(t1)?;
-                    *view = self.record_view(p, &q0);
-                }
-            }
-            if !any_stale {
-                break;
-            }
+            self.check_causality(w1)?;
+            w0 = w1;
         }
-        // Commit: count this quantum's traffic, then drop the consumed
-        // prefix of every queue so memory stays bounded.
-        for (bi, b) in self.boundaries.iter().enumerate() {
-            let mut q = b.borrow_mut();
-            self.stats.boundary_messages += (q.entries.len() - q0[bi].0) as u64;
+        // Commit: drop the consumed prefix of every queue so memory
+        // stays bounded.
+        for b in &mut self.boundaries {
+            let mut q = b.queue.borrow_mut();
             let consumed = q.cursor;
             q.entries.drain(..consumed);
             q.cursor = 0;
+            b.checked = q.entries.len();
         }
         self.stats.quanta_committed += 1;
         self.now = t1;
         Ok(())
     }
 
-    /// What partition `p` currently sees of each of its inbound
-    /// queues' this-quantum suffix.
-    fn record_view(&self, p: usize, q0: &[(usize, usize)]) -> Vec<Vec<(SimTime, Value)>> {
-        self.partitions[p]
-            .ins
-            .iter()
-            .map(|&bi| self.boundaries[bi].borrow().entries[q0[bi].0..].to_vec())
-            .collect()
-    }
-
-    /// Rolls partition `p` back to the quantum start: restore its
-    /// backplane snapshot, truncate its outbound queues to their
-    /// quantum-start length (un-publishing its speculative traffic)
-    /// and rewind its inbound cursors (un-consuming).
-    fn rollback(
-        &mut self,
-        p: usize,
-        snaps: &[Snapshot],
-        q0: &[(usize, usize)],
-    ) -> Result<(), CosimError> {
-        let part = &mut self.partitions[p];
-        part.cosim.restore(&snaps[p]).map_err(|e| {
-            CosimError::Runtime(format!(
-                "rollback of partition {p} failed ({e}); partitioned state is now \
-                 inconsistent"
-            ))
-        })?;
-        for &bi in &part.outs {
-            // The consumer's cursor may transiently point past the
-            // truncation point; its own staleness check will catch the
-            // mismatch and rewind it before anything reads the queue.
-            self.boundaries[bi].borrow_mut().entries.truncate(q0[bi].0);
-        }
-        for &bi in &part.ins {
-            self.boundaries[bi].borrow_mut().cursor = q0[bi].1;
+    /// Checks and counts the entries every boundary queue gained since
+    /// its last check, all partitions having run to `w1`.
+    fn check_causality(&mut self, w1: SimTime) -> Result<(), CosimError> {
+        for b in &mut self.boundaries {
+            let q = b.queue.borrow();
+            check_window(&b.name, &q, b.checked, w1)?;
+            self.stats.boundary_messages += (q.entries.len() - b.checked) as u64;
+            b.checked = q.entries.len();
         }
         Ok(())
+    }
+}
+
+/// The causality check of one boundary queue after a window ending at
+/// `w1`: every entry from index `from` on was appended during the
+/// window and must arrive after `w1`, or a partition that already ran
+/// past its arrival time could have missed it.
+fn check_window(name: &str, q: &BoundaryQueue, from: usize, w1: SimTime) -> Result<(), CosimError> {
+    match q.entries[from..].iter().find(|(t_arr, _)| *t_arr <= w1) {
+        Some((t_arr, _)) => Err(CosimError::Runtime(format!(
+            "boundary link {name}: an entry arriving at {t_arr} was exported in the \
+             window ending at {w1}; the lookahead window exceeds the link latency"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -440,6 +365,7 @@ impl Orchestrator {
 mod tests {
     use super::*;
     use crate::backplane::CosimConfig;
+    use cosma_core::Value;
 
     fn spec() -> BoundarySpec {
         BoundarySpec {
@@ -529,6 +455,66 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, CosimError::Setup(_)), "{err}");
+    }
+
+    #[test]
+    fn windows_follow_the_smallest_boundary_latency() {
+        let (mut orch, a, b) = two_partitions();
+        let slow = BoundarySpec {
+            latency: Duration::from_ns(500),
+            ..spec()
+        };
+        orch.add_boundary(
+            "fast",
+            a,
+            DomainId::BASE,
+            &spec(),
+            b,
+            DomainId::BASE,
+            &spec(),
+        )
+        .unwrap();
+        orch.add_boundary("slow", b, DomainId::BASE, &slow, a, DomainId::BASE, &slow)
+            .unwrap();
+        orch.run_for(Duration::from_us(2), Duration::from_us(1))
+            .unwrap();
+        let stats = orch.stats();
+        assert_eq!(stats.quanta_committed, 2, "{stats:?}");
+        assert_eq!(
+            stats.rescan_rounds, 10,
+            "1 us quanta in 200 ns windows: {stats:?}"
+        );
+        assert_eq!(stats.rollbacks, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn no_boundaries_means_one_window_per_quantum() {
+        let (mut orch, _, _) = two_partitions();
+        orch.run_for(Duration::from_us(3), Duration::from_us(1))
+            .unwrap();
+        let stats = orch.stats();
+        assert_eq!(stats.quanta_committed, 3, "{stats:?}");
+        assert_eq!(stats.rescan_rounds, 3, "{stats:?}");
+    }
+
+    #[test]
+    fn causality_check_rejects_an_entry_arriving_inside_the_window() {
+        let w1 = SimTime::from_ns(400);
+        let q = BoundaryQueue {
+            entries: vec![
+                (SimTime::from_ns(300), Value::Int(1)),
+                (SimTime::from_ns(350), Value::Int(2)),
+                (SimTime::from_ns(600), Value::Int(3)),
+            ],
+            cursor: 0,
+        };
+        // Only the entries appended during the window are checked.
+        check_window("cut", &q, 2, w1).unwrap();
+        let err = check_window("cut", &q, 1, w1).unwrap_err();
+        assert!(matches!(err, CosimError::Runtime(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("cut"), "{msg}");
+        assert!(msg.contains("350ns") && msg.contains("400ns"), "{msg}");
     }
 
     #[test]

@@ -868,7 +868,7 @@ fn boundary_spec(spec: &ScenarioSpec, latency: Duration) -> BoundarySpec {
 }
 
 /// A scenario cut across coupled backplane partitions, ready to run
-/// under the optimistic [`Orchestrator`].
+/// under the conservative [`Orchestrator`].
 pub struct PartitionedScenario {
     /// The orchestrator owning every partition.
     pub orch: Orchestrator,
@@ -1046,8 +1046,9 @@ pub fn build_partitioned(
 /// into ONE backplane, where the queues fill and drain inline and no
 /// orchestration is needed. A partitioned run is correct iff it is
 /// bit-identical (module statuses, traces, SUMs) to this oracle; the
-/// comparison isolates exactly the cut — speculation, rollback, queue
-/// commit — because everything else is structurally the same.
+/// comparison isolates exactly the cut — lookahead windows, causality
+/// checks, queue commit — because everything else is structurally the
+/// same.
 ///
 /// The returned scenario's `links` vector holds the ordinary unit for
 /// local links and the *out* half for severed ones.

@@ -1402,11 +1402,11 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Partitioned co-simulation: cutting a scenario across coupled
-// backplane partitions under the optimistic orchestrator (speculation,
-// staleness detection, snapshot rollback) is bit-identical — module
-// statuses, SUMs, per-source trace streams — to the collapsed
-// single-backplane oracle, across topologies, link kinds, clock-domain
-// ratios, partition counts and sync quanta.
+// backplane partitions under the conservative orchestrator (lookahead
+// windows, causality checks) is bit-identical — module statuses, SUMs,
+// per-source trace streams — to the collapsed single-backplane oracle,
+// across topologies, link kinds, clock-domain ratios, partition
+// counts, boundary latencies and sync quanta.
 // ---------------------------------------------------------------------
 
 /// Runs `spec` partitioned (sync quanta of `quantum`) and through the
@@ -1482,6 +1482,7 @@ proptest! {
         parts in 2usize..4,
         values in 1usize..4,
         quantum_us in 1u64..9,
+        latency_sel in 0u8..4,
         seed in any::<u64>(),
     ) {
         use cosma::comm::BusTiming;
@@ -1527,9 +1528,18 @@ proptest! {
             domains,
             ..ScenarioSpec::default()
         };
+        // Boundary latencies (the lookahead window): windows that do
+        // not divide the quantum, partial last windows, and a window
+        // longer than the smaller quanta.
+        let latency = match latency_sel {
+            0 => Duration::from_ns(70),
+            1 => Duration::from_ns(2_500),
+            2 => Duration::from_ns(333),
+            _ => Duration::from_ns(200),
+        };
         let pspec = PartitionsSpec {
             count: parts,
-            latency: Duration::from_ns(200),
+            latency,
         };
         let stats = assert_partitioned_matches_collapsed(
             &spec,
@@ -1541,13 +1551,13 @@ proptest! {
     }
 }
 
-/// A schedule that *forces* the optimistic sync to roll back — a ring
-/// cut across two partitions with a sync quantum 20× the boundary
-/// latency, so speculated quanta are guaranteed to see late
-/// cross-partition traffic — must still be bit-identical to the
-/// collapsed oracle, and must actually exercise the rollback path.
+/// A cyclic cut with a sync quantum 20× the boundary latency — a ring
+/// cut across two partitions, so traffic crosses the cut both ways
+/// many times within one quantum — is bit-identical to the collapsed
+/// oracle, synced in exactly 20 lookahead windows per quantum and
+/// without a single rollback.
 #[test]
-fn partitioned_forced_rollback_schedule_matches_oracle() {
+fn partitioned_cyclic_cut_long_quantum_matches_oracle() {
     use cosma::comm::BusTiming;
     use cosma::cosim::scenario::{LinkKind, PartitionsSpec, ScenarioSpec, Topology};
     use cosma::sim::Duration;
@@ -1574,10 +1584,11 @@ fn partitioned_forced_rollback_schedule_matches_oracle() {
         Duration::from_us(400),
         Duration::from_us(4),
     );
-    assert!(
-        stats.rollbacks > 0,
-        "quantum 20x the boundary latency on a cyclic cut must speculate \
-         past late traffic and roll back: {stats:?}"
+    assert_eq!(stats.rollbacks, 0, "stats: {stats:?}");
+    assert_eq!(
+        stats.rescan_rounds,
+        20 * stats.quanta_committed,
+        "a 4 us quantum over a 200 ns lookahead is 20 windows: {stats:?}"
     );
     assert!(stats.boundary_messages > 0, "stats: {stats:?}");
 }
