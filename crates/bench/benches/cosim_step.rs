@@ -171,27 +171,6 @@ fn bench_cosim(c: &mut Criterion) {
                 criterion::BatchSize::SmallInput,
             );
         });
-        // Same scenario with the step phase fanned out over the
-        // persistent worker pool (wins need real cores + large active
-        // sets; on a single-CPU host this tracks the overhead).
-        group.bench_with_input(BenchmarkId::new("many_units_threads4", n), &n, |b, &n| {
-            b.iter_batched(
-                || {
-                    many_units(
-                        n,
-                        Topology::Pipeline,
-                        SchedulingConfig::sharded().with_threads(4),
-                        LinkKind::Batched {
-                            max_batch: 8,
-                            capacity: 32,
-                            timing: BusTiming::LengthOnly,
-                        },
-                    )
-                },
-                |mut s| s.cosim.run_for(Duration::from_us(200)).expect("runs"),
-                criterion::BatchSize::SmallInput,
-            );
-        });
     }
 
     // Mostly-blocked consumers: N links with a consumer each but a

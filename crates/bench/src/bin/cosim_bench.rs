@@ -1,26 +1,18 @@
 //! `cosim_bench` — the machine-readable co-simulation benchmark runner.
 //!
 //! Runs the `cosim_step` many-unit scenarios (pipeline and starved
-//! topologies, legacy vs sharded scheduling, sequential vs threaded
-//! step phase, length-only vs payload-beat bus timing) and writes
-//! per-scenario timings to `BENCH_cosim.json` as a flat array of
-//! `{scenario, n, parallelism, threads, bus_timing, ns_per_run, p50_ns,
-//! p99_ns, runs}` records, so CI can track the backplane's performance
-//! trajectory across PRs. The `step_scaling` rows sweep the worker
-//! count over a wide unparked pipeline (the allocation-free step
-//! phase's target regime) and assert nonzero scratch-arena reuse.
-//!
-//! The `parallelism` column compares [`Parallelism::Off`] against
-//! `Threads(4)` on the same scenario. NOTE: the threaded step phase
-//! needs real cores to win — on a single-CPU host (CI containers) the
-//! workers time-slice one core and the row documents the overhead
-//! instead. The host's available parallelism is printed alongside.
+//! topologies, legacy vs sharded scheduling, length-only vs
+//! payload-beat bus timing) and writes per-scenario timings to
+//! `BENCH_cosim.json` as a flat array of `{scenario, n, bus_timing,
+//! ns_per_run, p50_ns, max_ns, runs}` records, so CI can track the
+//! backplane's performance trajectory across PRs. `ns_per_run` is the
+//! mean, `p50_ns` the median and `max_ns` the slowest of `runs` timed
+//! runs. The `step_scaling` rows time a wide pipeline with parking off,
+//! so the module driver steps every module directly every cycle — the
+//! per-activation baseline of the default scheduler.
 //!
 //! The `bus_timing` column tracks the cost of cycle-accurate payload
-//! beats (`payload_beats` rows) against the length-only fast path, and
-//! the `batched_heavy` rows pit the deferred scheduler's `BatchedLink`
-//! queue-op journal against immediate call application on a
-//! batched-heavy workload — the journal must hold parity or better.
+//! beats (`payload_beats` rows) against the length-only fast path.
 //!
 //! The `beat_storm` rows are the timer-wheel stress case: every unit of
 //! a ring streams `PayloadBeats` bursts concurrently, so the kernel's
@@ -52,20 +44,16 @@
 //! the default sweep matches the criterion bench (N = 16/64/256).
 
 use cosma_cosim::scenario::{build_scenario, LinkKind, Scenario, ScenarioSpec, Topology};
-use cosma_cosim::{BusTiming, CosimConfig, Parallelism, SchedulingConfig};
+use cosma_cosim::{BusTiming, CosimConfig, SchedulingConfig};
 use cosma_sim::Duration;
 use std::time::Instant;
 
 /// Bump when row fields change meaning or shape.
-const SCHEMA_VERSION: u32 = 4;
+const SCHEMA_VERSION: u32 = 5;
 
 struct Record {
     scenario: &'static str,
     n: usize,
-    parallelism: &'static str,
-    /// Explicit worker count for the `step_scaling` sweep rows; `None`
-    /// for the scenarios where `parallelism` already says it all.
-    threads: Option<usize>,
     bus_timing: &'static str,
     /// Time-queue backend under test: `Some("wheel" | "heap")` for the
     /// `beat_storm` ablation rows, `None` elsewhere (implicitly the
@@ -77,7 +65,7 @@ struct Record {
     variant: Option<&'static str>,
     ns_per_run: u128,
     p50_ns: u128,
-    p99_ns: u128,
+    max_ns: u128,
     runs: u32,
 }
 
@@ -107,17 +95,6 @@ fn timing_label(link: &LinkKind) -> &'static str {
     }
 }
 
-/// Splits a scheduling config into the JSON `parallelism` label and the
-/// explicit `threads` count, so every threaded row names its worker
-/// count the same way the `step_scaling` sweep does ("threads" +
-/// `threads: N`) instead of baking the count into the label.
-fn parallelism_fields(cfg: &SchedulingConfig) -> (&'static str, Option<usize>) {
-    match cfg.parallelism {
-        Parallelism::Off => ("off", None),
-        Parallelism::Threads(n) => ("threads", Some(n)),
-    }
-}
-
 fn scenario(
     n: usize,
     topology: Topology,
@@ -138,14 +115,11 @@ fn scenario(
 }
 
 /// Times `runs` fresh builds of one scenario, excluding setup, and
-/// returns the mean/p50/p99 wall-clock nanoseconds per `sim_us` µs
+/// returns the mean/median/max wall-clock nanoseconds per `sim_us` µs
 /// simulated run.
-#[allow(clippy::too_many_arguments)]
 fn measure(
     name: &'static str,
     n: usize,
-    parallelism: &'static str,
-    threads: Option<usize>,
     bus_timing: &'static str,
     runs: u32,
     sim_us: u64,
@@ -154,43 +128,40 @@ fn measure(
     // Warm-up.
     let mut s = build();
     s.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
-    let mut samples: Vec<u128> = Vec::with_capacity(runs as usize);
-    for _ in 0..runs {
-        let mut s = build();
-        let start = Instant::now();
-        s.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
-        samples.push(start.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    let ns_per_run = samples.iter().sum::<u128>() / u128::from(runs.max(1));
-    let p50_ns = samples[samples.len() / 2];
-    let p99_ns = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
+    let samples: Vec<u128> = (0..runs)
+        .map(|_| {
+            let mut s = build();
+            let start = Instant::now();
+            s.cosim.run_for(Duration::from_us(sim_us)).expect("runs");
+            start.elapsed().as_nanos()
+        })
+        .collect();
+    let (ns_per_run, p50_ns, max_ns) = summarize3(samples);
     println!(
-        "{name:<24} N={n:<4} par={parallelism:<8} bus={bus_timing:<13} {ns_per_run:>12} ns/run  \
-         p50={p50_ns} p99={p99_ns}  ({runs} runs)"
+        "{name:<24} N={n:<4} bus={bus_timing:<13} {ns_per_run:>12} ns/run  \
+         p50={p50_ns} max={max_ns}  ({runs} runs)"
     );
     Record {
         scenario: name,
         n,
-        parallelism,
-        threads,
         bus_timing,
         queue: None,
         variant: None,
         ns_per_run,
         p50_ns,
-        p99_ns,
+        max_ns,
         runs,
     }
 }
 
-/// Mean/p50/p99 of sorted-in-place samples.
+/// Mean/median/max of the samples. With a handful of runs any higher
+/// percentile would just be the maximum, so it is reported as such.
 fn summarize3(mut samples: Vec<u128>) -> (u128, u128, u128) {
     samples.sort_unstable();
     let mean = samples.iter().sum::<u128>() / samples.len() as u128;
     let p50 = samples[samples.len() / 2];
-    let p99 = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
-    (mean, p50, p99)
+    let max = samples[samples.len() - 1];
+    (mean, p50, max)
 }
 
 /// One 100 µs beat-storm run: `n` generator processes each keep a
@@ -267,8 +238,6 @@ fn main() {
         records.push(measure(
             "many_units_per_unit",
             n,
-            "off",
-            None,
             timing_label(&LinkKind::Handshake),
             runs,
             200,
@@ -282,27 +251,8 @@ fn main() {
             },
         ));
         records.push(measure(
-            "many_units_immediate",
-            n,
-            "off",
-            None,
-            timing_label(&batched),
-            runs,
-            200,
-            || {
-                scenario(
-                    n,
-                    Topology::Pipeline,
-                    SchedulingConfig::immediate(),
-                    batched,
-                )
-            },
-        ));
-        records.push(measure(
             "many_units_sharded",
             n,
-            "off",
-            None,
             timing_label(&batched),
             runs,
             200,
@@ -313,34 +263,14 @@ fn main() {
         records.push(measure(
             "many_units_sharded",
             n,
-            "off",
-            None,
             timing_label(&beats),
             runs,
             200,
             || scenario(n, Topology::Pipeline, SchedulingConfig::sharded(), beats),
         ));
-        // The threaded step phase on the same scenario. On multi-core
-        // hosts large stepping sets fan out across the persistent
-        // worker pool; on a single-CPU host this row documents the
-        // coordination overhead instead (workers time-slice one core).
-        let threaded = SchedulingConfig::sharded().with_threads(4);
-        let (par, threads) = parallelism_fields(&threaded);
-        records.push(measure(
-            "many_units_sharded",
-            n,
-            par,
-            threads,
-            timing_label(&batched),
-            runs,
-            200,
-            move || scenario(n, Topology::Pipeline, threaded, batched),
-        ));
         records.push(measure(
             "blocked_per_unit",
             n,
-            "off",
-            None,
             timing_label(&LinkKind::Handshake),
             runs,
             200,
@@ -356,8 +286,6 @@ fn main() {
         records.push(measure(
             "blocked_sharded",
             n,
-            "off",
-            None,
             timing_label(&LinkKind::Handshake),
             runs,
             200,
@@ -369,53 +297,6 @@ fn main() {
                     LinkKind::Handshake,
                 )
             },
-        ));
-    }
-
-    // Batched-heavy journal parity: a star of producers funneling a
-    // deep value stream into one hub over batched links — the workload
-    // where commit-phase batched calls dominate. The deferred
-    // scheduler's queue-op journal must hold parity or better against
-    // immediate call application.
-    {
-        let heavy = LinkKind::Batched {
-            max_batch: 16,
-            capacity: 64,
-            timing: BusTiming::LengthOnly,
-        };
-        let n = if quick { 8 } else { 16 };
-        let build = move |scheduling| {
-            build_scenario(&ScenarioSpec {
-                units: n,
-                topology: Topology::Star,
-                values_per_link: 16,
-                link: heavy,
-                config: CosimConfig::default(),
-                scheduling,
-                trace: false,
-                domains: Default::default(),
-            })
-            .expect("scenario builds")
-        };
-        records.push(measure(
-            "batched_heavy_immediate",
-            n,
-            "off",
-            None,
-            timing_label(&heavy),
-            runs,
-            200,
-            move || build(SchedulingConfig::immediate()),
-        ));
-        records.push(measure(
-            "batched_heavy_deferred",
-            n,
-            "off",
-            None,
-            timing_label(&heavy),
-            runs,
-            200,
-            move || build(SchedulingConfig::sharded()),
         ));
     }
 
@@ -439,28 +320,23 @@ fn main() {
             let heap = queue == "heap";
             // Warm-up.
             beat_storm(n, heap);
-            let mut samples: Vec<u128> = (0..runs).map(|_| beat_storm(n, heap)).collect();
-            samples.sort_unstable();
-            let ns_per_run = samples.iter().sum::<u128>() / u128::from(runs.max(1));
-            let p50_ns = samples[samples.len() / 2];
-            let p99_ns = samples[(samples.len() * 99 / 100).min(samples.len() - 1)];
+            let samples: Vec<u128> = (0..runs).map(|_| beat_storm(n, heap)).collect();
+            let (ns_per_run, p50_ns, max_ns) = summarize3(samples);
             println!(
-                "{:<24} N={n:<4} par={:<8} bus={:<13} {ns_per_run:>12} ns/run  \
-                 p50={p50_ns} p99={p99_ns}  ({runs} runs, {queue})",
-                "beat_storm", "off", "payload_beats",
+                "{:<24} N={n:<4} bus={:<13} {ns_per_run:>12} ns/run  \
+                 p50={p50_ns} max={max_ns}  ({runs} runs, {queue})",
+                "beat_storm", "payload_beats",
             );
             pair.push(p50_ns);
             records.push(Record {
                 scenario: "beat_storm",
                 n,
-                parallelism: "off",
-                threads: None,
                 bus_timing: "payload_beats",
                 queue: Some(queue),
                 variant: None,
                 ns_per_run,
                 p50_ns,
-                p99_ns,
+                max_ns,
                 runs,
             });
         }
@@ -496,8 +372,6 @@ fn main() {
         records.push(measure(
             "trace_heavy",
             n,
-            "off",
-            None,
             timing_label(&batched),
             runs,
             200,
@@ -522,55 +396,29 @@ fn main() {
         ));
     }
 
-    // Thread-scaling sweep: a wide pipeline with parking off, so the
-    // whole module set speculates every cycle — the allocation-free
-    // step phase's target regime. `threads = 1` is the direct
-    // (non-speculative) baseline; on multi-core hosts the higher rows
-    // should beat it, on a single-CPU host they document the
-    // work-stealing overhead. The first threads >= 2 run doubles as the
-    // scratch-arena smoke gate: ScratchStats must report shell reuse,
-    // or speculation has silently fallen back to allocating.
+    // Direct-stepping baseline: a wide pipeline with parking off, so
+    // the module driver steps the whole module set every cycle. This is
+    // the per-activation cost the parked default rows are measured
+    // against.
     {
-        let (sn, thread_counts, sruns): (usize, &[usize], u32) = if quick {
-            (256, &[1, 2], 2)
+        let (step_sizes, sruns): (&[usize], u32) = if quick {
+            (&[256], 2)
         } else {
-            (1024, &[1, 2, 4, 8], 3)
+            (&[256, 1024], 3)
         };
-        let mut reuse_checked = false;
-        for &t in thread_counts {
-            let cfg = SchedulingConfig {
-                park_blocked: false,
-                ..SchedulingConfig::sharded().with_threads(t)
-            };
+        let cfg = SchedulingConfig {
+            park_blocked: false,
+            ..SchedulingConfig::sharded()
+        };
+        for &sn in step_sizes {
             records.push(measure(
                 "step_scaling",
                 sn,
-                if t == 1 { "off" } else { "threads" },
-                Some(t),
                 timing_label(&batched),
                 sruns,
                 50,
                 move || scenario(sn, Topology::Pipeline, cfg, batched),
             ));
-            if t >= 2 && !reuse_checked {
-                reuse_checked = true;
-                let mut s = scenario(sn, Topology::Pipeline, cfg, batched);
-                s.cosim.run_for(Duration::from_us(50)).expect("runs");
-                let stats = s.cosim.shard_stats();
-                assert!(
-                    stats.scratch.arena_reuses > 0,
-                    "speculative step phase must recycle scratch shells: {:?}",
-                    stats.scratch
-                );
-                println!(
-                    "arena check: {} acquires, {} reuses, {} chunks, {} steals, {} B high water",
-                    stats.scratch.arena_acquires,
-                    stats.scratch.arena_reuses,
-                    stats.scratch.chunks,
-                    stats.scratch.steals,
-                    stats.scratch.bytes_high_water
-                );
-            }
         }
     }
 
@@ -623,28 +471,26 @@ fn main() {
                 .expect("runs");
             rerun_samples.push(start.elapsed().as_nanos());
         }
-        let (restore_mean, restore_p50, restore_p99) = summarize3(restore_samples);
-        let (rerun_mean, rerun_p50, rerun_p99) = summarize3(rerun_samples);
-        for (name, mean, p50, p99) in [
-            ("snapshot_restore", restore_mean, restore_p50, restore_p99),
-            ("snapshot_rerun", rerun_mean, rerun_p50, rerun_p99),
+        let (restore_mean, restore_p50, restore_max) = summarize3(restore_samples);
+        let (rerun_mean, rerun_p50, rerun_max) = summarize3(rerun_samples);
+        for (name, mean, p50, max) in [
+            ("snapshot_restore", restore_mean, restore_p50, restore_max),
+            ("snapshot_rerun", rerun_mean, rerun_p50, rerun_max),
         ] {
             println!(
-                "{name:<24} N={n:<4} par=off      bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({runs} runs)",
+                "{name:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
+                 p50={p50} max={max}  ({runs} runs)",
                 timing_label(&batched)
             );
             records.push(Record {
                 scenario: name,
                 n,
-                parallelism: "off",
-                threads: None,
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: None,
                 ns_per_run: mean,
                 p50_ns: p50,
-                p99_ns: p99,
+                max_ns: max,
                 runs,
             });
         }
@@ -698,10 +544,10 @@ fn main() {
                     start.elapsed().as_nanos()
                 })
                 .collect();
-            let (mean, p50, p99) = summarize3(samples);
+            let (mean, p50, max) = summarize3(samples);
             println!(
-                "{:<24} N={n:<4} par=off      bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({runs} runs, {variant})",
+                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
+                 p50={p50} max={max}  ({runs} runs, {variant})",
                 "multi_rate",
                 timing_label(&batched)
             );
@@ -709,14 +555,12 @@ fn main() {
             records.push(Record {
                 scenario: "multi_rate",
                 n,
-                parallelism: "off",
-                threads: None,
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: Some(variant),
                 ns_per_run: mean,
                 p50_ns: p50,
-                p99_ns: p99,
+                max_ns: max,
                 runs,
             });
         }
@@ -786,24 +630,22 @@ fn main() {
                 .collect()
         };
         for (variant, samples) in [("collapsed", collapsed), ("split_2", split)] {
-            let (mean, p50, p99) = summarize3(samples);
+            let (mean, p50, max) = summarize3(samples);
             println!(
-                "{:<24} N={n:<4} par=off      bus={:<13} {mean:>12} ns/run  \
-                 p50={p50} p99={p99}  ({runs} runs, {variant})",
+                "{:<24} N={n:<4} bus={:<13} {mean:>12} ns/run  \
+                 p50={p50} max={max}  ({runs} runs, {variant})",
                 "partitioned",
                 timing_label(&batched),
             );
             records.push(Record {
                 scenario: "partitioned",
                 n,
-                parallelism: "off",
-                threads: None,
                 bus_timing: timing_label(&batched),
                 queue: None,
                 variant: Some(variant),
                 ns_per_run: mean,
                 p50_ns: p50,
-                p99_ns: p99,
+                max_ns: max,
                 runs,
             });
         }
@@ -833,9 +675,6 @@ fn main() {
         .as_deref()
         .map_or_else(|| "null".to_string(), |t| format!("\"{t}\""));
     for (i, r) in records.iter().enumerate() {
-        let threads = r
-            .threads
-            .map_or_else(|| "null".to_string(), |t| t.to_string());
         let queue = r
             .queue
             .map_or_else(|| "null".to_string(), |q| format!("\"{q}\""));
@@ -843,22 +682,20 @@ fn main() {
             .variant
             .map_or_else(|| "null".to_string(), |v| format!("\"{v}\""));
         json.push_str(&format!(
-            "  {{\"schema\": {}, \"scenario\": \"{}\", \"n\": {}, \"parallelism\": \"{}\", \
-             \"threads\": {}, \"bus_timing\": \"{}\", \"queue\": {}, \"variant\": {}, \
+            "  {{\"schema\": {}, \"scenario\": \"{}\", \"n\": {}, \
+             \"bus_timing\": \"{}\", \"queue\": {}, \"variant\": {}, \
              \"ns_per_run\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"runs\": {}, \"git_rev\": \"{}\", \"cpus\": {}, \
+             \"p50_ns\": {}, \"max_ns\": {}, \"runs\": {}, \"git_rev\": \"{}\", \"cpus\": {}, \
              \"timestamp\": {}}}{}\n",
             SCHEMA_VERSION,
             r.scenario,
             r.n,
-            r.parallelism,
-            threads,
             r.bus_timing,
             queue,
             variant,
             r.ns_per_run,
             r.p50_ns,
-            r.p99_ns,
+            r.max_ns,
             r.runs,
             rev,
             cpus,

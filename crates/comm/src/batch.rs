@@ -46,12 +46,10 @@
 //! payload-beat bus occupancy ([`UnitStats::payload_beats`]).
 
 use crate::library::batched_handshake_unit;
-use crate::runtime::{
-    CallerId, FsmUnitRuntime, FsmUnitState, PeekDelta, PeekedCall, UnitStats, WireStore,
-};
+use crate::runtime::{CallerId, FsmUnitRuntime, FsmUnitState, UnitStats, WireStore};
 use cosma_core::comm::CommUnitSpec;
 use cosma_core::ids::PortId;
-use cosma_core::{Bit, DeferredCall, EvalError, ServiceOutcome, Type, Value};
+use cosma_core::{Bit, EvalError, ServiceOutcome, Type, Value};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -76,30 +74,6 @@ pub enum BusTiming {
     /// values are bit-identical to [`BusTiming::LengthOnly`]; only
     /// timing differs.
     PayloadBeats,
-}
-
-/// One journaled queue operation recorded by [`BatchedLink::peek_call`]
-/// against the committed queues, installable at commit time by
-/// [`BatchedLink::commit_peeked`] without re-dispatching the call. Each
-/// variant carries its own validity fingerprint: the committed queues
-/// must still answer the call exactly as peeked (earlier same-cycle
-/// commits may have moved them — then the caller falls back to the full
-/// [`BatchedLink::call`] dispatch).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum QueueDelta {
-    /// `put` answered done: append this (already clamped) value. Valid
-    /// while occupancy is still below capacity.
-    Put(Value),
-    /// `put` answered pending (backpressure); the rejected value rides
-    /// along so the install can replay the exact call. Valid while
-    /// still at capacity.
-    PutFull(Value),
-    /// `get` answered done with the front value. Valid while the
-    /// delivered queue still fronts that exact value.
-    Get(Value),
-    /// `get` answered pending (nothing delivered). Valid while the
-    /// delivered queue is still empty.
-    GetEmpty,
 }
 
 /// A point-in-time capture of all mutable [`BatchedLink`] state,
@@ -455,8 +429,7 @@ impl BatchedLink {
     }
 
     /// Dispatches one service activation by name — the single call entry
-    /// point used by both the immediate-application path and the
-    /// commit-phase replay. A malformed call (unknown service, wrong
+    /// point of module service calls. A malformed call (unknown service, wrong
     /// arity, payload of the wrong kind) surfaces as a typed
     /// [`EvalError::Service`], never a panic.
     ///
@@ -486,138 +459,6 @@ impl BatchedLink {
                 self.inner.spec().name()
             ))),
         }
-    }
-
-    /// Speculative (read-only) variant of [`BatchedLink::call`]: answers
-    /// the outcome the call would produce against the current committed
-    /// queue state, without mutating anything, and records the queue
-    /// operation as a journal entry ([`QueueDelta`]) that
-    /// [`BatchedLink::commit_peeked`] can install at commit time without
-    /// re-dispatching the call. Exact while no other same-cycle call
-    /// moves the shared queues — a two-phase scheduler validates the
-    /// answer again at commit time.
-    ///
-    /// # Errors
-    ///
-    /// Same typed validation as [`BatchedLink::call`].
-    pub fn peek_call(&self, service: &str, args: &[Value]) -> Result<PeekedCall, EvalError> {
-        match (service, args) {
-            ("put", [v]) => {
-                self.check_payload(v)?;
-                if self.occupancy() >= self.capacity {
-                    // Rejected by backpressure: a provable no-op.
-                    Ok(PeekedCall {
-                        outcome: ServiceOutcome::pending(),
-                        stable: true,
-                        delta: Some(PeekDelta::Queue(QueueDelta::PutFull(
-                            self.data_ty.clamp(v.clone()),
-                        ))),
-                    })
-                } else {
-                    Ok(PeekedCall {
-                        outcome: ServiceOutcome::done(),
-                        stable: false,
-                        delta: Some(PeekDelta::Queue(QueueDelta::Put(
-                            self.data_ty.clamp(v.clone()),
-                        ))),
-                    })
-                }
-            }
-            ("get", []) => match self.delivered.front() {
-                Some(v) => Ok(PeekedCall {
-                    outcome: ServiceOutcome::done_with(v.clone()),
-                    stable: false,
-                    delta: Some(PeekDelta::Queue(QueueDelta::Get(v.clone()))),
-                }),
-                None => Ok(PeekedCall {
-                    outcome: ServiceOutcome::pending(),
-                    stable: true,
-                    delta: Some(PeekDelta::Queue(QueueDelta::GetEmpty)),
-                }),
-            },
-            ("put" | "get", _) => Err(EvalError::Service(format!(
-                "batched link {}: service {service} called with {} argument(s)",
-                self.inner.spec().name(),
-                args.len()
-            ))),
-            (other, _) => Err(EvalError::Service(format!(
-                "batched link {} has no service {other}",
-                self.inner.spec().name()
-            ))),
-        }
-    }
-
-    /// Commits a [`BatchedLink::peek_call`] result without re-dispatching
-    /// the call: validates the journal entry's occupancy fingerprint —
-    /// the committed queues must still answer the call exactly as peeked
-    /// (a `put` still has room / is still rejected, a `get` still fronts
-    /// the peeked value / is still empty) — then installs the queue
-    /// operation and performs the bookkeeping [`BatchedLink::call`]
-    /// would have performed. Mirrors
-    /// [`FsmUnitRuntime::commit_peeked`](crate::FsmUnitRuntime::commit_peeked).
-    ///
-    /// Returns `false` (having changed nothing) when the fingerprint no
-    /// longer matches or the peek carries no queue journal — the caller
-    /// must fall back to a full [`BatchedLink::call`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates wire-store errors from raising the `PENDING` wire.
-    pub fn commit_peeked(
-        &mut self,
-        caller: CallerId,
-        service: &str,
-        peeked: PeekedCall,
-        wires: &mut dyn WireStore,
-    ) -> Result<bool, EvalError> {
-        let Some(PeekDelta::Queue(delta)) = peeked.delta else {
-            return Ok(false);
-        };
-        let valid = match (&delta, service) {
-            (QueueDelta::Put(_), "put") => self.occupancy() < self.capacity,
-            (QueueDelta::PutFull(_), "put") => self.occupancy() >= self.capacity,
-            (QueueDelta::Get(v), "get") => self.delivered.front() == Some(v),
-            (QueueDelta::GetEmpty, "get") => self.delivered.is_empty(),
-            _ => false,
-        };
-        if !valid {
-            return Ok(false);
-        }
-        // The fingerprint proved the committed queues still answer the
-        // call exactly as peeked, so the install IS the real call —
-        // delegate to it, keeping every stat/wire side effect in one
-        // place instead of a second copy that can drift.
-        match delta {
-            QueueDelta::Put(v) | QueueDelta::PutFull(v) => {
-                self.put(caller, v, wires)?;
-            }
-            QueueDelta::Get(_) | QueueDelta::GetEmpty => {
-                self.get(caller, wires)?;
-            }
-        }
-        Ok(true)
-    }
-
-    /// Standalone commit entry point of the two-phase model: applies a
-    /// module's buffered call records in order (see
-    /// [`crate::FsmUnitRuntime::apply_calls`] for the ordering contract
-    /// and its relationship to the backplane's validating per-call
-    /// commit, which routes through [`BatchedLink::call`]) and returns
-    /// the actual outcomes for validation.
-    ///
-    /// # Errors
-    ///
-    /// Same typed validation as [`BatchedLink::call`].
-    pub fn apply_calls(
-        &mut self,
-        caller: CallerId,
-        calls: &[DeferredCall],
-        wires: &mut dyn WireStore,
-    ) -> Result<Vec<ServiceOutcome>, EvalError> {
-        calls
-            .iter()
-            .map(|c| self.call(caller, &c.service, &c.args, wires))
-            .collect()
     }
 
     /// Enqueues one value for transport. Completes immediately unless the
@@ -1220,105 +1061,6 @@ mod tests {
         assert!(
             err.to_string().contains("does not fit"),
             "kind mismatch is typed: {err}"
-        );
-    }
-
-    #[test]
-    fn peek_matches_real_call_on_committed_state() {
-        let (mut link, mut wires) = fresh();
-        let p = CallerId(1);
-        let c = CallerId(2);
-        // Empty link: get peeks pending+stable; put peeks done.
-        let peek = link.peek_call("get", &[]).unwrap();
-        assert_eq!(peek.outcome, ServiceOutcome::pending());
-        assert!(peek.stable);
-        let peek = link.peek_call("put", &[Value::Int(5)]).unwrap();
-        let real = link.put(p, Value::Int(5), &mut wires).unwrap();
-        assert_eq!(peek.outcome, real);
-        for _ in 0..12 {
-            link.pump(&mut wires, false).unwrap();
-        }
-        // Delivered value: peek names it without popping.
-        let peek = link.peek_call("get", &[]).unwrap();
-        assert_eq!(peek.outcome, ServiceOutcome::done_with(Value::Int(5)));
-        let real = link.get(c, &mut wires).unwrap();
-        assert_eq!(peek.outcome, real);
-        // At capacity: put peeks pending+stable.
-        let mut tight = BatchedLink::new("bus", Type::INT16, 4, 1);
-        let mut tw = LocalWires::new(tight.spec());
-        tight.put(p, Value::Int(1), &mut tw).unwrap();
-        let peek = tight.peek_call("put", &[Value::Int(2)]).unwrap();
-        assert_eq!(peek.outcome, ServiceOutcome::pending());
-        assert!(peek.stable);
-    }
-
-    #[test]
-    fn queue_journal_installs_peeked_ops_without_redispatch() {
-        // The commit-phase journal: peeked put/get ops install directly
-        // after the occupancy fingerprint check, with bookkeeping
-        // identical to the full `call` dispatch.
-        let (mut link, mut wires) = fresh();
-        let p = CallerId(1);
-        let c = CallerId(2);
-        let peek = link.peek_call("put", &[Value::Int(42)]).unwrap();
-        assert!(
-            link.commit_peeked(p, "put", peek, &mut wires).unwrap(),
-            "fresh journal installs"
-        );
-        assert_eq!(link.occupancy(), 1, "value enqueued by the journal");
-        assert!(!link.last_call_stable());
-        assert_eq!(link.stats().services["put"].calls, 1);
-        assert_eq!(link.stats().services["put"].completions, 1);
-        assert_eq!(
-            wires.value(link.spec().wire_id("PENDING").unwrap()),
-            &Value::Bit(Bit::One),
-            "journal install raises the bus request, like call"
-        );
-        for _ in 0..12 {
-            link.pump(&mut wires, false).unwrap();
-        }
-        // A peeked get installs the pop.
-        let peek = link.peek_call("get", &[]).unwrap();
-        assert_eq!(peek.outcome, ServiceOutcome::done_with(Value::Int(42)));
-        assert!(link.commit_peeked(c, "get", peek, &mut wires).unwrap());
-        assert_eq!(link.occupancy(), 0, "journal popped the delivered value");
-        assert_eq!(link.stats().services["get"].completions, 1);
-        // A blocked-get journal entry installs as a no-op.
-        let peek = link.peek_call("get", &[]).unwrap();
-        assert!(link.commit_peeked(c, "get", peek, &mut wires).unwrap());
-        assert!(link.last_call_stable(), "no-op install parks the caller");
-    }
-
-    #[test]
-    fn stale_queue_journal_is_rejected() {
-        // The fingerprint check: a journal entry peeked against queue
-        // state that a same-cycle commit has since moved must NOT
-        // install — the caller falls back to the full dispatch.
-        let (mut link, mut wires) = fresh();
-        let p = CallerId(1);
-        let c = CallerId(2);
-        link.put(p, Value::Int(1), &mut wires).unwrap();
-        link.put(p, Value::Int(2), &mut wires).unwrap();
-        for _ in 0..40 {
-            link.pump(&mut wires, false).unwrap();
-        }
-        // Both consumers peeked the same front value; the first commit
-        // pops it, so the second journal is stale.
-        let peek_a = link.peek_call("get", &[]).unwrap();
-        let peek_b = link.peek_call("get", &[]).unwrap();
-        assert!(link.commit_peeked(c, "get", peek_a, &mut wires).unwrap());
-        assert!(
-            !link.commit_peeked(c, "get", peek_b, &mut wires).unwrap(),
-            "front moved: stale journal rejected"
-        );
-        // A stale put journal: fill to capacity between peek and commit.
-        let mut tight = BatchedLink::new("bus", Type::INT16, 4, 1);
-        let mut tw = LocalWires::new(tight.spec());
-        let peek = tight.peek_call("put", &[Value::Int(9)]).unwrap();
-        tight.put(p, Value::Int(8), &mut tw).unwrap();
-        assert!(
-            !tight.commit_peeked(p, "put", peek, &mut tw).unwrap(),
-            "capacity verdict changed: stale journal rejected"
         );
     }
 

@@ -43,12 +43,7 @@ pub struct NativeUnitState {
 }
 
 /// A communication unit implemented natively (an "existing platform").
-///
-/// `Sync` is required so a two-phase scheduler can share the unit table
-/// read-only across step-phase worker threads (native units are never
-/// *called* from those threads — calls to natives always fall back to
-/// the sequential commit phase — but the table they live in is).
-pub trait NativeUnit: fmt::Debug + Send + Sync {
+pub trait NativeUnit: fmt::Debug + Send {
     /// Unit type name.
     fn name(&self) -> &str;
 

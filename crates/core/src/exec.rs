@@ -82,16 +82,6 @@ pub trait Env: ReadEnv {
         args: &[Value],
     ) -> Result<ServiceOutcome, EvalError>;
 
-    /// Whether [`exec_stmt`] should record every executed service call as
-    /// a [`DeferredCall`] in [`StepEffects::calls`]. Default `false`:
-    /// immediate-application environments pay nothing for the recording
-    /// machinery. Two-phase (step/commit) schedulers return `true` so the
-    /// activation's call stream — with the outcomes the environment
-    /// answered — can be replayed against the real units at commit time.
-    fn record_calls(&self) -> bool {
-        false
-    }
-
     /// Receives a diagnostic trace record. Default: ignored.
     fn trace(&mut self, _label: &str, _values: &[Value]) {}
 
@@ -121,38 +111,16 @@ pub struct PendingCall {
     pub service: std::sync::Arc<str>,
 }
 
-/// One service call executed during an activation, recorded (only when
-/// [`Env::record_calls`] is `true`) with its evaluated arguments and the
-/// outcome the environment answered.
-///
-/// This is the delta a two-phase scheduler buffers during its *step*
-/// phase: the step runs against a snapshot and records what it called;
-/// the *commit* phase then replays the records against the real units in
-/// deterministic `(module, call index)` order and validates that the
-/// answered outcomes still hold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeferredCall {
-    /// The module binding the call went through.
-    pub binding: crate::ids::BindingId,
-    /// The service name (refcounted share of the call statement's name).
-    pub service: std::sync::Arc<str>,
-    /// The evaluated argument values.
-    pub args: Vec<Value>,
-    /// The outcome the environment answered during the step.
-    pub outcome: ServiceOutcome,
-}
-
 /// Side effects of executing statements ([`exec_stmt`]), accumulated
 /// across one activation.
 ///
 /// The struct doubles as a reusable scratch arena: a scheduler that
-/// keeps one `StepEffects` per worker and steps through
-/// [`FsmExec::step_with`] pays zero steady-state heap allocation for
-/// call-argument vectors and trace-value buffers — [`exec_stmt`] draws
-/// them from the internal pools, and [`StepEffects::recycle`] returns
-/// them after the effects have been consumed. Equality ignores the
-/// pools: two effects with the same calls/pending are equal however
-/// their arenas differ.
+/// keeps one `StepEffects` and steps through [`FsmExec::step_with`]
+/// pays zero steady-state heap allocation for call-argument and
+/// trace-value buffers — [`exec_stmt`] reuses them, and
+/// [`StepEffects::recycle`] clears the effects between activations.
+/// Equality ignores the buffers: two effects with the same call count
+/// and pending set are equal however their scratch differs.
 #[derive(Debug, Clone, Default)]
 pub struct StepEffects {
     /// Number of service-call statements executed.
@@ -161,15 +129,9 @@ pub struct StepEffects {
     /// for activations whose calls all completed — `Vec::new` does not
     /// allocate, so unblocked activations pay nothing).
     pub pending: Vec<PendingCall>,
-    /// Every executed call with its evaluated arguments and answered
-    /// outcome, in execution order — recorded only when
-    /// [`Env::record_calls`] is `true`, empty (and allocation-free)
-    /// otherwise.
-    pub calls: Vec<DeferredCall>,
-    /// Recycled call-argument vectors ([`DeferredCall::args`] buffers
-    /// given back by [`StepEffects::recycle`]); [`exec_stmt`] pops one
-    /// per call statement instead of allocating.
-    args_pool: Vec<Vec<Value>>,
+    /// Reusable evaluation buffer for call-statement arguments, cleared
+    /// (not dropped) between call statements.
+    call_args: Vec<Value>,
     /// Reusable evaluation buffer for trace-statement values, cleared
     /// (not dropped) between trace statements.
     trace_vals: Vec<Value>,
@@ -177,46 +139,23 @@ pub struct StepEffects {
 
 impl PartialEq for StepEffects {
     fn eq(&self, other: &Self) -> bool {
-        self.service_calls == other.service_calls
-            && self.pending == other.pending
-            && self.calls == other.calls
+        self.service_calls == other.service_calls && self.pending == other.pending
     }
 }
 
 impl StepEffects {
     /// Clears the activation-visible effects while *keeping* the heap
-    /// buffers: recorded calls hand their argument vectors back to the
-    /// internal pool, so the next activation through
-    /// [`FsmExec::step_with`] reuses them instead of allocating. The
-    /// scratch-arena reset of the two-phase scheduler's steady state.
+    /// buffers, so the next activation through [`FsmExec::step_with`]
+    /// reuses them instead of allocating.
     pub fn recycle(&mut self) {
         self.service_calls = 0;
         self.pending.clear();
-        for mut dc in self.calls.drain(..) {
-            dc.args.clear();
-            self.args_pool.push(std::mem::take(&mut dc.args));
-        }
-    }
-
-    /// Rough heap footprint of the effects and their pools, in bytes —
-    /// feeds the scheduler's arena high-water statistics.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let vecs = self
-            .args_pool
-            .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<Value>())
-            .sum::<usize>();
-        self.pending.capacity() * std::mem::size_of::<PendingCall>()
-            + self.calls.capacity() * std::mem::size_of::<DeferredCall>()
-            + self.trace_vals.capacity() * std::mem::size_of::<Value>()
-            + vecs
     }
 }
 
 /// The state-transition outcome of one activation through
-/// [`FsmExec::step_with`] — the [`StepReport`] minus the call stream,
-/// which stays in the caller's [`StepEffects`] arena.
+/// [`FsmExec::step_with`] — the [`StepReport`] minus the call count and
+/// pending set, which stay in the caller's [`StepEffects`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepMeta {
     /// State at the start of the activation.
@@ -225,18 +164,6 @@ pub struct StepMeta {
     pub to: StateId,
     /// Whether a transition fired (self-loop transitions count).
     pub transitioned: bool,
-}
-
-/// A placeholder at state 0 — lets reusable result shells derive
-/// `Default`; always overwritten before being read.
-impl Default for StepMeta {
-    fn default() -> Self {
-        StepMeta {
-            from: StateId::new(0),
-            to: StateId::new(0),
-            transitioned: false,
-        }
-    }
 }
 
 /// Report of a single FSM activation.
@@ -254,9 +181,6 @@ pub struct StepReport {
     /// Service calls left pending by this activation — what the FSM is
     /// blocked on, if anything.
     pub pending: Vec<PendingCall>,
-    /// The activation's full call stream (see [`StepEffects::calls`]);
-    /// empty unless the environment opted into recording.
-    pub calls: Vec<DeferredCall>,
 }
 
 /// Execution state of one FSM instance: just the current state, as all
@@ -292,18 +216,6 @@ pub struct FsmExec {
     steps: u64,
 }
 
-/// A placeholder executor at state 0 — lets reusable result shells
-/// derive `Default`; always overwritten (via [`FsmExec::new`] or
-/// assignment) before driving an FSM.
-impl Default for FsmExec {
-    fn default() -> Self {
-        FsmExec {
-            current: StateId::new(0),
-            steps: 0,
-        }
-    }
-}
-
 impl FsmExec {
     /// Creates an executor positioned at the FSM's initial state.
     #[must_use]
@@ -334,9 +246,7 @@ impl FsmExec {
     /// Reconstructs an executor from captured state — the restore side
     /// of checkpointing. Unlike [`FsmExec::jump_to`] this also restores
     /// the activation count, so a restored executor is bit-identical
-    /// (`PartialEq`) to the one that was captured: commit-time
-    /// fingerprints that compare `(current, steps)` keep working across
-    /// a snapshot/restore boundary.
+    /// (`PartialEq`) to the one that was captured.
     #[must_use]
     pub fn restored(current: StateId, steps: u64) -> Self {
         FsmExec { current, steps }
@@ -358,7 +268,6 @@ impl FsmExec {
             transitioned: meta.transitioned,
             service_calls: effects.service_calls,
             pending: std::mem::take(&mut effects.pending),
-            calls: std::mem::take(&mut effects.calls),
         })
     }
 
@@ -474,15 +383,17 @@ pub fn exec_stmt(
         }
         Stmt::Call(call) => {
             effects.service_calls += 1;
-            // Argument vectors come from the effects' recycle pool, so a
-            // scheduler that recycles its arena steps without a malloc
-            // per call statement.
-            let mut args = effects.args_pool.pop().unwrap_or_default();
-            args.reserve(call.args.len());
+            // The argument buffer is reusable scratch, like the trace
+            // buffer below: a scheduler that recycles its arena steps
+            // without a malloc per call statement.
+            let mut args = std::mem::take(&mut effects.call_args);
+            args.clear();
             for a in &call.args {
                 args.push(a.eval(env)?);
             }
-            let outcome = env.call_service(call, &args)?;
+            let outcome = env.call_service(call, &args);
+            effects.call_args = args;
+            let outcome = outcome?;
             if let Some(done_var) = call.done {
                 env.write_var(done_var, Value::Bool(outcome.done))?;
             }
@@ -495,17 +406,6 @@ pub fn exec_stmt(
                     binding: call.binding,
                     service: call.service.clone(),
                 });
-            }
-            if env.record_calls() {
-                effects.calls.push(DeferredCall {
-                    binding: call.binding,
-                    service: call.service.clone(),
-                    args,
-                    outcome,
-                });
-            } else {
-                args.clear();
-                effects.args_pool.push(args);
             }
             Ok(())
         }
@@ -965,72 +865,6 @@ mod tests {
         let mut exec = FsmExec::new(&fsm);
         let r = exec.step(&fsm, &mut env).unwrap();
         assert!(r.pending.is_empty());
-    }
-
-    #[test]
-    fn calls_recorded_only_on_opt_in() {
-        // An environment that answers every call "done with 7" and can
-        // toggle recording: the call stream must be captured, with
-        // evaluated args and the answered outcome, only when opted in.
-        struct AnsweringEnv {
-            inner: MapEnv,
-            record: bool,
-        }
-        impl ReadEnv for AnsweringEnv {
-            fn read_var(&self, v: VarId) -> Result<Value, EvalError> {
-                self.inner.read_var(v)
-            }
-            fn read_port(&self, p: PortId) -> Result<Value, EvalError> {
-                self.inner.read_port(p)
-            }
-        }
-        impl Env for AnsweringEnv {
-            fn write_var(&mut self, v: VarId, value: Value) -> Result<(), EvalError> {
-                self.inner.write_var(v, value)
-            }
-            fn drive_port(&mut self, p: PortId, value: Value) -> Result<(), EvalError> {
-                self.inner.drive_port(p, value)
-            }
-            fn call_service(
-                &mut self,
-                _call: &ServiceCall,
-                _args: &[Value],
-            ) -> Result<ServiceOutcome, EvalError> {
-                Ok(ServiceOutcome::done_with(Value::Int(7)))
-            }
-            fn record_calls(&self) -> bool {
-                self.record
-            }
-        }
-
-        let stmt = Stmt::Call(crate::stmt::ServiceCall {
-            binding: crate::ids::BindingId::new(1),
-            service: "put".into(),
-            args: vec![Expr::int(2).add(Expr::int(3))],
-            done: None,
-            result: None,
-        });
-        let mut env = AnsweringEnv {
-            inner: MapEnv::new(),
-            record: true,
-        };
-        let mut effects = StepEffects::default();
-        exec_stmt(&stmt, &mut env, &mut effects).unwrap();
-        assert_eq!(
-            effects.calls,
-            vec![DeferredCall {
-                binding: crate::ids::BindingId::new(1),
-                service: "put".into(),
-                args: vec![Value::Int(5)],
-                outcome: ServiceOutcome::done_with(Value::Int(7)),
-            }]
-        );
-        // Without opt-in the stream stays empty (and allocation-free).
-        env.record = false;
-        let mut effects = StepEffects::default();
-        exec_stmt(&stmt, &mut env, &mut effects).unwrap();
-        assert_eq!(effects.service_calls, 1);
-        assert!(effects.calls.is_empty());
     }
 
     #[test]

@@ -10,16 +10,16 @@
 //! * all inter-module interaction goes through communication units whose
 //!   wires are kernel signals,
 //! * module and unit stepping share one activation-gating architecture
-//!   ([`SchedulingConfig`]): sharded dispatch with provably-stable FSMs
-//!   *parked* on their completion wires, so blocked or finished parts of
-//!   the backplane cost nothing per clock edge,
-//! * module activations run under a **two-phase step/commit model**
-//!   ([`CallApplication::Deferred`], the default): the step phase is
-//!   pure speculation against the cycle-start snapshot (service calls
-//!   buffered as deltas), the commit phase replays the deltas in
-//!   deterministic `(module, call index)` order — so module shards
-//!   place by hashed id and the step phase can fan out over OS threads
-//!   ([`Parallelism::Threads`]) without changing a single trace,
+//!   ([`SchedulingConfig`]) with one production path and one reference
+//!   oracle. The production path ([`SchedulingConfig::sharded`]) runs
+//!   units in hashed shards and steps every clocked module from one
+//!   driver process in module-id order, with service calls applied the
+//!   moment they execute; provably-stable FSMs are *parked* on their
+//!   completion wires, so blocked or finished parts of the backplane
+//!   cost nothing per clock edge. The oracle
+//!   ([`SchedulingConfig::legacy`]) runs one process per unit and per
+//!   module, stepped on every clock edge. Both produce the same traces
+//!   and final states,
 //! * every `Stmt::Trace` lands in a [`TraceLog`] that can be compared
 //!   event-for-event against a co-synthesis (board-level) run,
 //! * the whole backplane checkpoints into a [`Snapshot`]
@@ -43,9 +43,8 @@ pub use annotate::{
     BatchLinkTiming, LabelTiming, LinkCalibration,
 };
 pub use backplane::{
-    CallApplication, Cosim, CosimConfig, CosimError, CosimModuleId, DomainId, DomainPlacement,
-    ModulePlacement, ModuleScheduling, ModuleStatus, Parallelism, SchedulingConfig, ShardStats,
-    Snapshot, UnitId, UnitScheduling, DEFAULT_SHARD_SIZE, STEP_FANOUT_MIN,
+    Cosim, CosimConfig, CosimError, CosimModuleId, DomainId, ModuleScheduling, ModuleStatus,
+    SchedulingConfig, ShardStats, Snapshot, UnitId, UnitScheduling, DEFAULT_SHARD_SIZE,
 };
 pub use cosma_comm::BusTiming;
 pub use cosma_sim::ClockRatio;

@@ -62,9 +62,8 @@ pub enum Topology {
     /// The [`Starved`](Topology::Starved) wiring with deliberately
     /// skewed step costs: link 0's producer burns [`HEAVY_WORK`]
     /// chained arithmetic assignments per activation while the starved
-    /// consumers are near-free. One expensive speculation amid many
-    /// cheap ones — the shape a fixed per-worker partition serializes
-    /// on and work-stealing rebalances.
+    /// consumers are near-free: one expensive activation amid many
+    /// cheap ones.
     Skewed,
 }
 
@@ -1246,13 +1245,12 @@ mod tests {
 
     #[test]
     fn schedulings_produce_identical_traces() {
-        // The tentpole correctness claim: every scheduler — legacy
-        // per-unit/per-module, PR 3 immediate sharded, and the
-        // two-phase delta-buffered scheduler (sequential and threaded,
-        // hashed and creation-order placement) — is observationally
-        // equivalent: same states, SUMs, traces and ACTIVATION COUNTS,
-        // on every topology and link kind, parking included.
-        use crate::backplane::{ModulePlacement, ModuleScheduling, UnitScheduling};
+        // The scheduler correctness claim: the production path (unit
+        // shards + module driver) and both mixed combinations with the
+        // legacy halves are observationally equivalent to the per-unit
+        // / per-module oracle: same states, SUMs, traces and ACTIVATION
+        // COUNTS, on every topology and link kind, parking included.
+        use crate::backplane::{ModuleScheduling, UnitScheduling};
         for topology in [
             Topology::Pipeline,
             Topology::Star,
@@ -1286,53 +1284,30 @@ mod tests {
                     units: UnitScheduling::Sharded { shard_size: 4 },
                     modules: ModuleScheduling::Sharded { shard_size: 4 },
                     park_blocked: true,
-                    ..SchedulingConfig::sharded()
                 };
                 let mut b = build_scenario(&mk(SchedulingConfig {
                     units: UnitScheduling::PerUnit,
                     modules: ModuleScheduling::PerModule,
                     park_blocked: true,
-                    ..SchedulingConfig::legacy()
                 }))
                 .expect("per-unit builds");
                 b.cosim
                     .run_for(Duration::from_us(400))
                     .expect("per-unit runs");
                 for (name, cfg) in [
-                    ("deferred_hashed", sharded4),
+                    ("sharded4", sharded4),
                     (
-                        "deferred_creation_order",
+                        "per_unit_driver",
                         SchedulingConfig {
-                            placement: ModulePlacement::CreationOrder,
+                            units: UnitScheduling::PerUnit,
                             ..sharded4
                         },
                     ),
-                    // Threshold 1 forces real speculation + commit
-                    // (journal installs, outcome validation) on this
-                    // small backplane instead of the direct path.
                     (
-                        "deferred_threads2",
+                        "sharded_units_per_module",
                         SchedulingConfig {
-                            step_fanout_min: 1,
-                            ..sharded4.with_threads(2)
-                        },
-                    ),
-                    // More workers than stepping-set items: exercises
-                    // the work-stealing cursor's idle-worker skip.
-                    (
-                        "deferred_threads8",
-                        SchedulingConfig {
-                            step_fanout_min: 1,
-                            ..sharded4.with_threads(8)
-                        },
-                    ),
-                    (
-                        "immediate_sharded",
-                        SchedulingConfig {
-                            units: UnitScheduling::Sharded { shard_size: 4 },
-                            modules: ModuleScheduling::Sharded { shard_size: 4 },
-                            park_blocked: true,
-                            ..SchedulingConfig::immediate()
+                            modules: ModuleScheduling::PerModule,
+                            ..sharded4
                         },
                     ),
                 ] {
@@ -1357,46 +1332,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn skewed_costs_steal_work_and_reuse_arenas_under_threads() {
-        // One heavy producer amid 48 near-free consumers, parking off so
-        // the whole set steps every cycle: the work-stealing cursor must
-        // rebalance chunks past the fair share at least once across the
-        // run, and the scratch arenas must hit their free-lists in the
-        // steady state (zero-allocation speculation).
-        use crate::backplane::{ModuleScheduling, UnitScheduling};
-        let mut s = build_scenario(&ScenarioSpec {
-            units: 48,
-            topology: Topology::Skewed,
-            values_per_link: 4,
-            scheduling: SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size: 16 },
-                modules: ModuleScheduling::Sharded { shard_size: 16 },
-                park_blocked: false,
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded().with_threads(2)
-            },
-            ..ScenarioSpec::default()
-        })
-        .expect("builds");
-        let done = s.run_to_completion(Duration::from_us(2_000)).expect("runs");
-        assert!(done, "skewed scenario completes");
-        s.verify().expect("checksum holds");
-        let st = s.cosim.shard_stats();
-        assert!(st.scratch.chunks > 0, "threaded step phase ran: {st:?}");
-        assert!(
-            st.scratch.steals > 0,
-            "skewed stepping set rebalanced via stealing: {:?}",
-            st.scratch
-        );
-        assert!(
-            st.scratch.arena_reuses > 0,
-            "speculation shells recycled: {:?}",
-            st.scratch
-        );
-        assert!(st.scratch.bytes_high_water > 0);
     }
 
     #[test]
@@ -1554,14 +1489,13 @@ mod tests {
         // (c) run forked twins — all must be bit-identical to an
         // uninterrupted run: same traces, same FSM states, same
         // activation counts. Pinned across the legacy per-unit/
-        // per-module path, immediate sharded, and the two-phase driver
-        // (sequential and threaded), on both link flavours.
+        // per-module path, the production path and both mixed
+        // combinations, on both link flavours.
         use crate::backplane::{ModuleScheduling, UnitScheduling};
         let sharded4 = SchedulingConfig {
             units: UnitScheduling::Sharded { shard_size: 4 },
             modules: ModuleScheduling::Sharded { shard_size: 4 },
             park_blocked: true,
-            ..SchedulingConfig::sharded()
         };
         let variants = [
             (
@@ -1570,27 +1504,21 @@ mod tests {
                     units: UnitScheduling::PerUnit,
                     modules: ModuleScheduling::PerModule,
                     park_blocked: true,
-                    ..SchedulingConfig::legacy()
                 },
             ),
-            ("deferred_hashed", sharded4),
-            // Threshold 1 forces real speculation + commit so the
-            // snapshot covers driver scratch, journals and the
-            // threaded step phase.
+            ("sharded4", sharded4),
             (
-                "deferred_threads2",
+                "per_unit_driver",
                 SchedulingConfig {
-                    step_fanout_min: 1,
-                    ..sharded4.with_threads(2)
+                    units: UnitScheduling::PerUnit,
+                    ..sharded4
                 },
             ),
             (
-                "immediate_sharded",
+                "sharded_units_per_module",
                 SchedulingConfig {
-                    units: UnitScheduling::Sharded { shard_size: 4 },
-                    modules: ModuleScheduling::Sharded { shard_size: 4 },
-                    park_blocked: true,
-                    ..SchedulingConfig::immediate()
+                    modules: ModuleScheduling::PerModule,
+                    ..sharded4
                 },
             ),
         ];
@@ -1753,49 +1681,6 @@ mod tests {
                 "{name} stats replay verbatim"
             );
         }
-    }
-
-    #[test]
-    fn skewed_chunks_adapt_and_oversized_shells_reclaimed() {
-        // Adaptive work-stealing chunk sizing + oversized-shell
-        // reclamation, on the same skewed fleet as
-        // skewed_costs_steal_work_and_reuse_arenas_under_threads: the
-        // heavy producer's shell retains pools far past the per-shell
-        // EWMA once dozens of near-empty consumer shells have decayed
-        // it, and observed steals must shrink the chunk grain at least
-        // once.
-        use crate::backplane::{ModuleScheduling, UnitScheduling};
-        let mut s = build_scenario(&ScenarioSpec {
-            units: 48,
-            topology: Topology::Skewed,
-            values_per_link: 4,
-            scheduling: SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size: 16 },
-                modules: ModuleScheduling::Sharded { shard_size: 16 },
-                park_blocked: false,
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded().with_threads(2)
-            },
-            ..ScenarioSpec::default()
-        })
-        .expect("builds");
-        let done = s.run_to_completion(Duration::from_us(2_000)).expect("runs");
-        assert!(done, "skewed scenario completes");
-        s.verify().expect("checksum holds");
-        let st = s.cosim.shard_stats().scratch;
-        assert!(st.steals > 0, "skewed set rebalanced: {st:?}");
-        assert!(
-            st.chunk_shrinks > 0,
-            "a steal cycle shrank the chunk grain: {st:?}"
-        );
-        assert!(
-            (2..=64).contains(&st.chunk_now),
-            "adapted chunk stays within bounds: {st:?}"
-        );
-        assert!(
-            st.shells_shrunk > 0,
-            "the heavy producer's oversized shell was reclaimed: {st:?}"
-        );
     }
 
     /// Runs `spec` both partitioned (under the orchestrator, in quanta

@@ -1,19 +1,17 @@
 //! Steady-state allocation regression gate (behind the test-only
-//! `count-allocs` feature): a counting global allocator pins a *warm*
-//! trace-heavy pipeline in the speculative regime to **zero** heap
-//! allocations per cycle.
+//! `count-allocs` feature): a counting global allocator pins *warm*
+//! rings on the default scheduler ([`SchedulingConfig::sharded`]) to
+//! **zero** heap allocations per cycle.
 //!
-//! The scenario is chosen to cross every pooled hot path at once:
+//! The trace-heavy scenario is chosen to cross every pooled hot path
+//! at once:
 //!
 //! * trace-heavy (`ScenarioSpec::trace`): every module records a trace
 //!   entry per activation, so nothing parks and the columnar log's
 //!   segment pool and spill recycling are exercised each cycle;
-//! * speculative (`Parallelism::Threads(1)` + `step_fanout_min: 1`):
-//!   the two-phase step/commit driver runs with scratch arenas and
-//!   work-stealing chunks on the kernel thread alone — no worker
-//!   channel traffic to muddy the count;
-//! * adjacent relays share links, so commit-phase divergences occur and
-//!   the pooled fallback re-execution path is measured too.
+//! * the module driver steps the whole ring every cycle, so its pooled
+//!   stepping set, the per-activation effects arena and the batched
+//!   links' call path run on every edge.
 //!
 //! Run with: `cargo test --features count-allocs --test alloc`
 #![cfg(feature = "count-allocs")]
@@ -22,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cosma::cosim::scenario::{build_scenario, DomainsSpec, LinkKind, ScenarioSpec, Topology};
-use cosma::cosim::{BusTiming, Parallelism, SchedulingConfig};
+use cosma::cosim::{BusTiming, SchedulingConfig};
 use cosma::sim::Duration;
 
 /// Counts every heap acquisition (alloc, zeroed alloc, realloc) while
@@ -62,7 +60,7 @@ fn allocs() -> u64 {
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
-fn warm_trace_heavy_speculative_cycles_do_not_allocate() {
+fn warm_trace_heavy_cycles_do_not_allocate() {
     let _serial = GATE.lock().unwrap();
     // A Ring keeps every module stepping for the whole run: the driver
     // circulates values_per_link tokens (far more than the run needs),
@@ -76,11 +74,7 @@ fn warm_trace_heavy_speculative_cycles_do_not_allocate() {
             capacity: 32,
             timing: BusTiming::LengthOnly,
         },
-        scheduling: SchedulingConfig {
-            parallelism: Parallelism::Threads(1),
-            step_fanout_min: 1,
-            ..SchedulingConfig::sharded()
-        },
+        scheduling: SchedulingConfig::sharded(),
         trace: true,
         ..ScenarioSpec::default()
     };
@@ -92,8 +86,9 @@ fn warm_trace_heavy_speculative_cycles_do_not_allocate() {
         .trace_handle()
         .borrow_mut()
         .set_spill(Box::new(std::io::sink()));
-    // Warm-up: grow every pool to its working set — scratch shells,
-    // effects arenas, kernel queues, trace segments, interner.
+    // Warm-up: grow every pool to its working set — effects arenas,
+    // the driver's stepping set, kernel queues, trace segments,
+    // interner.
     s.cosim
         .run_for(Duration::from_us(60))
         .expect("warm-up runs");

@@ -615,13 +615,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Backplane scheduling: every scheduler configuration — the legacy
-// per-unit/per-module path, the PR 3 immediate sharded scheduler, and
-// the two-phase (delta-buffered) scheduler in all its variants
-// (sequential and threaded step phase, hashed and creation-order module
-// placement) — is observationally equivalent: same module states, SUMs,
-// traces AND activation counts, on randomized topologies over both link
-// kinds.
+// Backplane scheduling: every scheduler configuration — the production
+// path (unit shards + module driver), the legacy per-unit/per-module
+// oracle, and both mixed combinations of their halves — is
+// observationally equivalent: same module states, SUMs, traces AND
+// activation counts, on randomized topologies over every link kind.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -638,10 +636,7 @@ proptest! {
     ) {
         use cosma::comm::BusTiming;
         use cosma::cosim::scenario::{build_scenario, LinkKind, ScenarioSpec, Topology};
-        use cosma::cosim::{
-            CallApplication, ModulePlacement, ModuleScheduling, Parallelism, SchedulingConfig,
-            UnitScheduling,
-        };
+        use cosma::cosim::{ModuleScheduling, SchedulingConfig, UnitScheduling};
         use cosma::sim::Duration;
 
         let topology = match topo_sel {
@@ -653,7 +648,7 @@ proptest! {
         };
         // All three link flavours face every scheduler: the classic
         // handshake, the batched fast path, and cycle-accurate payload
-        // beats (whose commit-phase queue journal must be invisible).
+        // beats.
         let link = match link_sel {
             0 => LinkKind::Handshake,
             1 => LinkKind::Batched {
@@ -684,71 +679,33 @@ proptest! {
             Ok(s)
         };
         let shd = |shard_size| ModuleScheduling::Sharded { shard_size };
-        // The oracle: one process per unit and per module, immediate
-        // calls — the semantics every other configuration must match.
+        // The oracle: one process per unit and per module — the
+        // semantics every other configuration must match.
         let baseline = run("per_unit", SchedulingConfig {
             units: UnitScheduling::PerUnit,
             modules: ModuleScheduling::PerModule,
             park_blocked: park,
-            ..SchedulingConfig::legacy()
         })?;
+        // The production path, plus each of its halves paired with the
+        // other half of the oracle.
         let variants = [
-            ("immediate_sharded", SchedulingConfig {
+            ("sharded", SchedulingConfig {
                 units: UnitScheduling::Sharded { shard_size },
                 modules: shd(shard_size),
                 park_blocked: park,
-                ..SchedulingConfig::immediate()
             }),
-            ("deferred_hashed", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
+            ("per_unit_driver", SchedulingConfig {
+                units: UnitScheduling::PerUnit,
                 modules: shd(shard_size),
                 park_blocked: park,
-                ..SchedulingConfig::sharded()
             }),
-            ("deferred_creation_order", SchedulingConfig {
+            ("sharded_units_per_module", SchedulingConfig {
                 units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
+                modules: ModuleScheduling::PerModule,
                 park_blocked: park,
-                placement: ModulePlacement::CreationOrder,
-                ..SchedulingConfig::sharded()
-            }),
-            // step_fanout_min: 1 forces the speculative step/commit
-            // machinery (FSM session deltas, the BatchedLink queue-op
-            // journal, outcome validation) onto every cycle of these
-            // small backplanes — without it the threaded variants
-            // would take the direct sub-threshold path and the
-            // commit-phase code would go untested here.
-            ("deferred_threads2", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                parallelism: Parallelism::Threads(2),
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded()
-            }),
-            ("deferred_threads4", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                parallelism: Parallelism::Threads(4),
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded()
-            }),
-            // Threads(8): more workers than most of these stepping sets
-            // have items, exercising the work-stealing cursor's
-            // empty-claim path and idle-worker skip.
-            ("deferred_threads8", SchedulingConfig {
-                units: UnitScheduling::Sharded { shard_size },
-                modules: shd(shard_size),
-                park_blocked: park,
-                parallelism: Parallelism::Threads(8),
-                step_fanout_min: 1,
-                ..SchedulingConfig::sharded()
             }),
         ];
         for (name, cfg) in variants {
-            prop_assert_eq!(cfg.calls == CallApplication::Immediate,
-                name == "immediate_sharded");
             let s = run(name, cfg)?;
             for (&a, &b) in s.modules.iter().zip(&baseline.modules) {
                 prop_assert_eq!(
@@ -871,7 +828,7 @@ proptest! {
 // kernel's drive heap, so an arbitrary cut usually lands *inside* a
 // burst. Snapshotting there and restoring must replay the remaining
 // beats — and everything after them — bit-identically, across the
-// schedulers (including the speculative step/commit regime).
+// schedulers.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -888,7 +845,7 @@ proptest! {
     ) {
         use cosma::comm::BusTiming;
         use cosma::cosim::scenario::{build_scenario, LinkKind, ScenarioSpec, Topology};
-        use cosma::cosim::{Parallelism, SchedulingConfig};
+        use cosma::cosim::{ModuleScheduling, SchedulingConfig};
         use cosma::sim::Duration;
 
         let topology = match topo_sel {
@@ -898,14 +855,12 @@ proptest! {
             _ => Topology::RandomDag { seed },
         };
         let scheduling = match sched_sel {
-            0 => SchedulingConfig::immediate(),
+            0 => SchedulingConfig::legacy(),
             1 => SchedulingConfig::sharded(),
-            // The speculative step/commit driver: its scratch arenas
-            // and queue journal are pure per-cycle state, so a restored
-            // backplane must reproduce the same commits regardless.
+            // Unit shards next to per-module processes: both halves'
+            // scheduler state must round-trip through one snapshot.
             _ => SchedulingConfig {
-                parallelism: Parallelism::Threads(2),
-                step_fanout_min: 1,
+                modules: ModuleScheduling::PerModule,
                 ..SchedulingConfig::sharded()
             },
         };
@@ -974,7 +929,7 @@ proptest! {
     ) {
         use cosma::comm::BusTiming;
         use cosma::cosim::scenario::{build_scenario, LinkKind, ScenarioSpec, Topology};
-        use cosma::cosim::{tracebin, Parallelism, SchedulingConfig};
+        use cosma::cosim::{tracebin, ModuleScheduling, SchedulingConfig, UnitScheduling};
         use cosma::sim::Duration;
 
         let topology = match topo_sel {
@@ -998,11 +953,13 @@ proptest! {
         };
         let scheduling = match sched_sel {
             0 => SchedulingConfig::legacy(),
-            1 => SchedulingConfig::immediate(),
-            2 => SchedulingConfig::sharded(),
+            1 => SchedulingConfig::sharded(),
+            2 => SchedulingConfig {
+                units: UnitScheduling::PerUnit,
+                ..SchedulingConfig::sharded()
+            },
             _ => SchedulingConfig {
-                parallelism: Parallelism::Threads(2),
-                step_fanout_min: 1,
+                modules: ModuleScheduling::PerModule,
                 ..SchedulingConfig::sharded()
             },
         };
