@@ -35,6 +35,14 @@
 //!   therefore costs `O(watchers of signals with events)`, not
 //!   `O(processes)`. Clocked processes that return [`Wait::Same`] (or an
 //!   equal wait set) never touch the index at all.
+//! * **One-shot wake subscriptions** — each watcher list also holds
+//!   `(process, tag)` subscriptions armed through [`ProcCtx::wake_on`].
+//!   The next event on the signal wakes the subscriber whatever its
+//!   [`Wait`], consumes the subscription and reports `(signal, tag)` in
+//!   the subscriber's [`ProcCtx::wakes`] inbox — a wire event names the
+//!   destination it wakes, so a scheduler multiplexing many parked
+//!   members in one process never rescans them or rebuilds its
+//!   sensitivity to find out whom an event concerns.
 //! * **Hierarchical timer-wheel time queues** — timed drives (`sig <= v
 //!   after d`) and process timeouts (`wait for d`) live in one unified
 //!   hierarchical timer wheel: 4 levels of 64 power-of-two slots each
@@ -284,6 +292,9 @@ struct WatchList {
     /// Lower bound on invalidated entries, bumped when a watcher leaves;
     /// triggers compaction when most of the list is stale.
     stale: u32,
+    /// One-shot wake subscriptions `(process, tag)` in arm order
+    /// ([`ProcCtx::wake_on`]), drained by the signal's next event.
+    once: Vec<(ProcessId, u32)>,
 }
 
 struct ProcSlot {
@@ -306,6 +317,10 @@ struct ProcSlot {
     timer_token: u64,
     /// Wake-dedup stamp for the current delta.
     wake_stamp: u64,
+    /// `(signal, tag)` of the subscriptions that fired for the next run,
+    /// lent to it as [`ProcCtx::wakes`]. Empty between runs; its
+    /// capacity is kept.
+    inbox: Vec<(SignalId, u32)>,
     runs: u64,
 }
 
@@ -348,7 +363,21 @@ pub struct ProcCtx<'a> {
     /// Pooled buffer lent to the process for building a
     /// [`Wait::Event`] list without allocating (see [`Self::wait_buf`]).
     wait_buf: Vec<SignalId>,
+    /// The subscriptions that fired for this run (see [`Self::wakes`]).
+    wakes: &'a [(SignalId, u32)],
+    /// Subscriptions armed by this run (see [`Self::wake_on`]); pooled
+    /// like `drives`, installed by the kernel after the run.
+    subs: Vec<(SignalId, u32)>,
 }
+
+/// What one process run left behind for the kernel to apply: its
+/// individual drives, its drive trains and the wake subscriptions it
+/// armed.
+pub(crate) type RunParts = (
+    Vec<(SignalId, Value, Duration)>,
+    Vec<DriveTrain>,
+    Vec<(SignalId, u32)>,
+);
 
 impl<'a> ProcCtx<'a> {
     /// Kernel-internal constructor, shared with the reference kernel.
@@ -357,6 +386,7 @@ impl<'a> ProcCtx<'a> {
         event_bits: &'a [u64],
         now: SimTime,
         delta: u32,
+        wakes: &'a [(SignalId, u32)],
     ) -> Self {
         ProcCtx {
             signals,
@@ -367,14 +397,39 @@ impl<'a> ProcCtx<'a> {
             trains: vec![],
             train_shells: vec![],
             wait_buf: vec![],
+            wakes,
+            subs: vec![],
         }
     }
 
-    /// Consumes the context, yielding the individual drives and the
-    /// drive trains the process scheduled.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(self) -> (Vec<(SignalId, Value, Duration)>, Vec<DriveTrain>) {
-        (self.drives, self.trains)
+    /// Consumes the context, yielding what the run left for the kernel.
+    pub(crate) fn into_parts(self) -> RunParts {
+        (self.drives, self.trains, self.subs)
+    }
+
+    /// Arms a one-shot wake subscription: the next event on `s` wakes
+    /// this process — whatever [`Wait`] it returns, [`Wait::Forever`]
+    /// included — and reports `(s, tag)` in that run's [`Self::wakes`].
+    /// The subscription is consumed when it fires. Like a returned wait
+    /// set it takes effect after this run, so an event in the current
+    /// delta does not fire it. Arming the same signal twice fires (and
+    /// reports) twice; the tag is the subscriber's own bookkeeping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this simulator.
+    pub fn wake_on(&mut self, s: SignalId, tag: u32) {
+        assert!(s.index() < self.signals.len(), "wake_on of foreign {s}");
+        self.subs.push((s, tag));
+    }
+
+    /// The `(signal, tag)` pairs of the wake subscriptions that fired
+    /// for this run ([`Self::wake_on`]), in the order their signals
+    /// evented in the waking delta and, per signal, in arm order. Empty
+    /// for a run woken only by its [`Wait`].
+    #[must_use]
+    pub fn wakes(&self) -> &'a [(SignalId, u32)] {
+        self.wakes
     }
 
     /// An empty, pooled buffer for building a [`Wait::Event`] (or
@@ -669,8 +724,10 @@ struct ProcState {
 /// What is **in** the state: signal values (with previous values, event
 /// marks and event counts), per-process sensitivity sets, epochs, timer
 /// tokens, wake stamps and run counts, pending same-instant drives,
-/// future timed drives, live timeouts, the sequence/stamp counters, the
-/// current time, the elaboration flag, the delta bound, and [`SimStats`].
+/// future timed drives, live timeouts, live wake subscriptions, the
+/// sequence/stamp counters, the current time, the elaboration flag, the
+/// delta bound, and [`SimStats`]. Wake inboxes are empty between runs
+/// and are never captured.
 ///
 /// What is **out**: process bodies (restored into the same simulator or
 /// a structurally identical clone, whose bodies stand in for the
@@ -684,6 +741,9 @@ pub struct SimState {
     timed_drives: Vec<(SimTime, u64, SignalId, Value)>,
     /// Live timeouts as `(at, seq, process, token)`, sorted.
     timers: Vec<(SimTime, u64, ProcessId, u64)>,
+    /// Live wake subscriptions as `(signal, process, tag)`, by signal
+    /// and then in arm order.
+    subscriptions: Vec<(SignalId, ProcessId, u32)>,
     fresh_events: Vec<SignalId>,
     seq: u64,
     stamp: u64,
@@ -785,6 +845,9 @@ pub struct Simulator {
     /// Pooled drive-train buffer threaded through each `ProcCtx`,
     /// recycled across process runs. Pure scratch.
     proc_trains_pool: Vec<DriveTrain>,
+    /// Pooled wake-subscription buffer threaded through each `ProcCtx`,
+    /// recycled across process runs. Pure scratch.
+    proc_subs_pool: Vec<(SignalId, u32)>,
     /// Recycled drive-train value buffers lent out through
     /// [`ProcCtx::drive_train`] and reclaimed after bulk insertion.
     /// Bounded, like `sens_pool`.
@@ -833,6 +896,7 @@ impl Simulator {
             sens_pool: vec![],
             due_buf: vec![],
             proc_trains_pool: vec![],
+            proc_subs_pool: vec![],
             train_shell_pool: vec![],
         }
     }
@@ -868,6 +932,7 @@ impl Simulator {
             wake_at: None,
             timer_token: 0,
             wake_stamp: 0,
+            inbox: vec![],
             runs: 0,
         });
         id
@@ -1174,7 +1239,8 @@ impl Simulator {
             self.delta_drives = drives;
 
             // Wake the watchers of this delta's events through the
-            // inverted index, purging stale entries as we pass.
+            // inverted index, purging stale entries as we pass, and fire
+            // the events' wake subscriptions into their inboxes.
             let mut to_run = std::mem::take(&mut pending);
             if !self.fresh_events.is_empty() {
                 let timer_woken = to_run.len();
@@ -1206,6 +1272,17 @@ impl Simulator {
                     inspected += before as u64;
                     self.stats.stale_watchers_purged += (before - wl.entries.len()) as u64;
                     wl.stale = 0;
+                    if wl.once.is_empty() {
+                        continue;
+                    }
+                    for (pid, tag) in wl.once.drain(..) {
+                        let slot = &mut processes[pid.index()];
+                        slot.inbox.push((sid, tag));
+                        if slot.wake_stamp != stamp {
+                            slot.wake_stamp = stamp;
+                            to_run.push(pid);
+                        }
+                    }
                 }
                 self.stats.event_wakeups += (to_run.len() - timer_woken) as u64;
                 self.stats.scans_avoided += (self.processes.len() as u64).saturating_sub(inspected);
@@ -1247,11 +1324,14 @@ impl Simulator {
     fn run_processes_delta(&mut self, list: &[ProcessId], delta: u32) {
         let mut drives = std::mem::take(&mut self.proc_drives_pool);
         let mut trains = std::mem::take(&mut self.proc_trains_pool);
+        let mut subs = std::mem::take(&mut self.proc_subs_pool);
         for &pid in list {
-            let mut body = match self.processes[pid.index()].body.take() {
+            let slot = &mut self.processes[pid.index()];
+            let mut body = match slot.body.take() {
                 Some(b) => b,
                 None => continue,
             };
+            let mut inbox = std::mem::take(&mut slot.inbox);
             drives.clear();
             trains.clear();
             let mut ctx = ProcCtx {
@@ -1263,15 +1343,25 @@ impl Simulator {
                 trains,
                 train_shells: std::mem::take(&mut self.train_shell_pool),
                 wait_buf: self.sens_pool.pop().unwrap_or_default(),
+                wakes: &inbox,
+                subs,
             };
             let wait = body.run(&mut ctx);
             drives = ctx.drives;
             trains = ctx.trains;
+            subs = ctx.subs;
             self.train_shell_pool = ctx.train_shells;
             // Reclaim the lent wait buffer if the process didn't take
             // it; taken buffers come home through `set_sensitivity`.
             let lent = ctx.wait_buf;
             self.recycle_sens(lent);
+            // Install the run's subscriptions (effective from the next
+            // delta's events) and hand the emptied inbox back.
+            for (sig, tag) in subs.drain(..) {
+                self.watchers[sig.index()].once.push((pid, tag));
+            }
+            inbox.clear();
+            self.processes[pid.index()].inbox = inbox;
             self.processes[pid.index()].runs += 1;
             self.stats.process_runs += 1;
             for (sid, v, d) in drives.drain(..) {
@@ -1311,6 +1401,7 @@ impl Simulator {
         }
         self.proc_drives_pool = drives;
         self.proc_trains_pool = trains;
+        self.proc_subs_pool = subs;
     }
 
     /// Lands a whole pre-computed drive train in one pass: beat `k`
@@ -1506,10 +1597,11 @@ impl Simulator {
     /// The kernel owns and captures everything needed to resume the
     /// event schedule bit-identically: signals, per-process scheduling
     /// state (sensitivity, epoch, timer token, wake stamp, run count),
-    /// the time queues (canonicalized — drives and timers each sorted by
-    /// `(at, seq)`, dead timer entries purged — so the serialized form
-    /// is identical whichever queue backend produced it and the wheel is
-    /// simply rebuilt on load), pending delta drives, fresh-event marks, the
+    /// the live wake subscriptions, the time queues (canonicalized —
+    /// drives and timers each sorted by `(at, seq)`, dead timer entries
+    /// purged — so the serialized form is identical whichever queue
+    /// backend produced it and the wheel is simply rebuilt on load),
+    /// pending delta drives, fresh-event marks, the
     /// `seq`/`stamp` counters, time, the elaboration flag, the delta
     /// bound, and statistics. It does **not** own process bodies:
     /// any state a body keeps inside its closure is invisible here and
@@ -1543,12 +1635,23 @@ impl Simulator {
         });
         debug_assert_eq!(timed_drives.len(), self.live_drives);
         debug_assert_eq!(timers.len(), self.armed_timers);
+        let subscriptions = self
+            .watchers
+            .iter()
+            .enumerate()
+            .flat_map(|(i, wl)| {
+                wl.once
+                    .iter()
+                    .map(move |&(pid, tag)| (SignalId(i as u32), pid, tag))
+            })
+            .collect();
         SimState {
             signals: self.signals.clone(),
             procs,
             delta_drives: self.delta_drives.clone(),
             timed_drives,
             timers,
+            subscriptions,
             fresh_events: self.fresh_events.clone(),
             seq: self.seq,
             stamp: self.stamp,
@@ -1564,7 +1667,8 @@ impl Simulator {
     /// its process bodies are in an equivalent state — see
     /// [`Simulator::save_state`]). The inverted sensitivity index is
     /// rebuilt from the captured sensitivity sets, so no stale watcher
-    /// entries survive a restore.
+    /// entries survive a restore, and the wake subscriptions are
+    /// re-armed in their captured order.
     ///
     /// The target must be structurally identical to the simulator that
     /// produced the state: same signals (by name, in order) and same
@@ -1649,12 +1753,16 @@ impl Simulator {
         for wl in &mut self.watchers {
             wl.entries.clear();
             wl.stale = 0;
+            wl.once.clear();
         }
         for (i, ps) in state.procs.iter().enumerate() {
             let pid = ProcessId(i as u32);
             for s in &ps.sensitivity {
                 self.watchers[s.index()].entries.push((pid, ps.epoch));
             }
+        }
+        for &(s, pid, tag) in &state.subscriptions {
+            self.watchers[s.index()].once.push((pid, tag));
         }
         self.delta_drives.clone_from(&state.delta_drives);
         self.fresh_events.clone_from(&state.fresh_events);
@@ -2465,5 +2573,149 @@ mod tests {
         short.add_signal("D", Type::INT16, Value::Int(0));
         let err = short.load_state(&saved).unwrap_err();
         assert!(matches!(err, SimError::StateMismatch { .. }));
+    }
+
+    #[test]
+    fn wake_subscription_fires_once_after_forever_not_in_arming_delta() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut sim = Simulator::new();
+        let go = sim.add_bit("GO");
+        let s = sim.add_signal("S", Type::INT16, Value::Int(0));
+        // The wakes each run received, run by run.
+        type RunLog = Vec<Vec<(SignalId, u32)>>;
+        let log: Rc<RefCell<RunLog>> = Rc::default();
+        let seen = Rc::clone(&log);
+        let p = sim.add_process(
+            "sub",
+            FnProcess::new(move |ctx| {
+                seen.borrow_mut().push(ctx.wakes().to_vec());
+                if ctx.event(go) && ctx.wakes().is_empty() {
+                    // Armed in the delta where GO events: that event
+                    // must not fire the GO subscription.
+                    ctx.wake_on(go, 1);
+                    ctx.wake_on(s, 2);
+                    return Wait::Forever;
+                }
+                if ctx.now() == SimTime::ZERO && ctx.wakes().is_empty() {
+                    return Wait::Event(vec![go]);
+                }
+                Wait::Forever
+            }),
+        );
+        sim.run_until(SimTime::ZERO).unwrap();
+        sim.poke(go, Value::Bit(Bit::One));
+        sim.run_for(Duration::from_ns(1)).unwrap();
+        assert_eq!(sim.process_runs(p), 2, "elaboration + GO event");
+        // The process now waits forever with two armed subscriptions.
+        sim.poke(s, Value::Int(5));
+        sim.run_for(Duration::from_ns(1)).unwrap();
+        sim.poke(go, Value::Bit(Bit::Zero));
+        sim.run_for(Duration::from_ns(1)).unwrap();
+        // Both consumed: further events wake nothing.
+        sim.poke(s, Value::Int(6));
+        sim.poke(go, Value::Bit(Bit::One));
+        sim.run_for(Duration::from_ns(1)).unwrap();
+        assert_eq!(sim.process_runs(p), 4);
+        assert_eq!(
+            *log.borrow(),
+            vec![vec![], vec![], vec![(s, 2)], vec![(go, 1)]]
+        );
+    }
+
+    #[test]
+    fn wakes_report_event_order_then_arm_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut sim = Simulator::new();
+        let a = sim.add_bit("A");
+        let b = sim.add_bit("B");
+        let log: Rc<RefCell<Vec<(SignalId, u32)>>> = Rc::default();
+        let seen = Rc::clone(&log);
+        sim.add_process(
+            "sub",
+            FnProcess::new(move |ctx| {
+                seen.borrow_mut().extend_from_slice(ctx.wakes());
+                if ctx.wakes().is_empty() {
+                    ctx.wake_on(a, 1);
+                    ctx.wake_on(b, 2);
+                    ctx.wake_on(a, 3);
+                }
+                Wait::Forever
+            }),
+        );
+        sim.run_until(SimTime::ZERO).unwrap();
+        // B events first in the delta, then A: B's subscription leads,
+        // A's two follow in arm order — one run for all three.
+        sim.poke(b, Value::Bit(Bit::One));
+        sim.poke(a, Value::Bit(Bit::One));
+        sim.run_for(Duration::from_ns(1)).unwrap();
+        assert_eq!(*log.borrow(), vec![(b, 2), (a, 1), (a, 3)]);
+    }
+
+    /// A clock, a counter and a subscriber whose subscriptions depend on
+    /// the counter; every bit of its scheduling state lives in the
+    /// kernel, so a restored twin must replay it exactly.
+    fn subscription_netlist(sim: &mut Simulator) -> (SignalId, ProcessId) {
+        let clk = sim.add_bit("CLK");
+        let q = sim.add_signal("Q", Type::INT16, Value::Int(0));
+        let w = sim.add_signal("W", Type::INT16, Value::Int(0));
+        sim.add_clock("gen", clk, Duration::from_ns(100));
+        sim.add_clocked("count", clk, Edge::Rising, move |ctx| {
+            let v = ctx.read_int(q);
+            ctx.drive(q, Value::Int(v + 1));
+            ClockControl::Continue
+        });
+        let sub = sim.add_process(
+            "sub",
+            FnProcess::new(move |ctx| {
+                let mut acc = ctx.read_int(w);
+                for &(sig, tag) in ctx.wakes() {
+                    acc = (acc * 3 + sig.index() as i64 + i64::from(tag)) & 0x3FFF;
+                }
+                ctx.drive(w, Value::Int(acc));
+                let v = ctx.read_int(q);
+                ctx.wake_on(q, (v % 5) as u32 + 1);
+                if v % 2 == 0 {
+                    ctx.wake_on(clk, 7);
+                }
+                Wait::Forever
+            }),
+        );
+        (w, sub)
+    }
+
+    #[test]
+    fn armed_subscriptions_survive_save_and_restore() {
+        let mut sim = Simulator::new();
+        let (w, sub) = subscription_netlist(&mut sim);
+        sim.run_until(SimTime::from_ns(415)).unwrap();
+        let saved = sim.save_state();
+        assert!(
+            !saved.subscriptions.is_empty(),
+            "captured while subscriptions are armed"
+        );
+        sim.run_until(SimTime::from_ns(1300)).unwrap();
+        let first = (sim.signal_info(w), sim.process_runs(sub), sim.stats());
+        assert!(first.0.event_count > 10, "the subscriber kept being woken");
+
+        // Rewind in place, and restore into a structurally identical
+        // twin: both replay the tail exactly.
+        sim.load_state(&saved).unwrap();
+        let mut twin = Simulator::new();
+        subscription_netlist(&mut twin);
+        twin.load_state(&saved).unwrap();
+        for replay in [&mut sim, &mut twin] {
+            replay.run_until(SimTime::from_ns(1300)).unwrap();
+            let again = (
+                replay.signal_info(w),
+                replay.process_runs(sub),
+                replay.stats(),
+            );
+            assert_eq!(again.0.value, first.0.value);
+            assert_eq!(again.0.event_count, first.0.event_count);
+            assert_eq!(again.1, first.1, "subscriber runs replay identically");
+            assert_eq!(again.2, first.2, "kernel stats replay identically");
+        }
     }
 }

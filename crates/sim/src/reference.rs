@@ -39,6 +39,8 @@ struct ProcSlot {
     /// Rising-edge filter of the sensitivity ([`Wait::Rising`]).
     rising: bool,
     wake_at: Option<SimTime>,
+    /// Fired wake subscriptions awaiting the next run.
+    inbox: Vec<(SignalId, u32)>,
     runs: u64,
 }
 
@@ -50,6 +52,8 @@ pub struct RefSimulator {
     delta_drives: Vec<(SignalId, Value)>,
     timed_drives: BTreeMap<SimTime, Vec<(SignalId, Value)>>,
     timer_queue: BTreeMap<SimTime, Vec<RefProcessId>>,
+    /// Live wake subscriptions `(signal, process, tag)` in arm order.
+    subscriptions: Vec<(SignalId, RefProcessId, u32)>,
     now: SimTime,
     initialized: bool,
     max_deltas: u32,
@@ -88,6 +92,7 @@ impl RefSimulator {
             delta_drives: vec![],
             timed_drives: BTreeMap::new(),
             timer_queue: BTreeMap::new(),
+            subscriptions: vec![],
             now: SimTime::ZERO,
             initialized: false,
             max_deltas: 1000,
@@ -123,6 +128,7 @@ impl RefSimulator {
             sensitivity: vec![],
             rising: false,
             wake_at: None,
+            inbox: vec![],
             runs: 0,
         });
         id
@@ -283,6 +289,8 @@ impl RefSimulator {
             }
             let drives = std::mem::take(&mut self.delta_drives);
             let mut event_set: BTreeSet<SignalId> = BTreeSet::new();
+            // First-event order, the order wake subscriptions fire in.
+            let mut event_order: Vec<SignalId> = vec![];
             for (sid, v) in drives {
                 let sig = &mut self.signals[sid.index()];
                 if sig.value != v {
@@ -292,7 +300,9 @@ impl RefSimulator {
                     self.event_bits[sid.index() >> 6] |= 1u64 << (sid.index() & 63);
                     sig.last_event = Some(self.now);
                     sig.event_count += 1;
-                    event_set.insert(sid);
+                    if event_set.insert(sid) {
+                        event_order.push(sid);
+                    }
                 }
             }
             self.stats.events += event_set.len() as u64;
@@ -313,6 +323,19 @@ impl RefSimulator {
                     if p.body.is_some() && p.sensitivity.iter().any(wakes) {
                         to_run.insert(RefProcessId(i as u32));
                     }
+                }
+                // Fire wake subscriptions: per evented signal in event
+                // order, subscribers in arm order.
+                let processes = &mut self.processes;
+                for &sid in &event_order {
+                    self.subscriptions.retain(|&(s, p, tag)| {
+                        if s != sid {
+                            return true;
+                        }
+                        processes[p.index()].inbox.push((s, tag));
+                        to_run.insert(p);
+                        false
+                    });
                 }
             }
             if to_run.is_empty() {
@@ -347,10 +370,18 @@ impl RefSimulator {
                 Some(b) => b,
                 None => continue,
             };
-            let mut ctx =
-                crate::kernel::ProcCtx::new(&self.signals, &self.event_bits, self.now, delta);
+            let inbox = std::mem::take(&mut self.processes[pid.index()].inbox);
+            let mut ctx = crate::kernel::ProcCtx::new(
+                &self.signals,
+                &self.event_bits,
+                self.now,
+                delta,
+                &inbox,
+            );
             let wait = body.run(&mut ctx);
-            let (drives, trains) = ctx.into_parts();
+            let (drives, trains, subs) = ctx.into_parts();
+            self.subscriptions
+                .extend(subs.into_iter().map(|(s, tag)| (s, pid, tag)));
             self.processes[pid.index()].runs += 1;
             self.stats.process_runs += 1;
             for (sid, v, d) in drives {

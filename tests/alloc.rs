@@ -13,6 +13,10 @@
 //!   stepping set, the per-activation effects arena and the batched
 //!   links' call path run on every edge.
 //!
+//! The untraced churn ring covers the other half: members park and
+//! resume every few cycles through the kernel's one-shot wake
+//! subscriptions.
+//!
 //! Run with: `cargo test --features count-allocs --test alloc`
 #![cfg(feature = "count-allocs")]
 
@@ -187,5 +191,47 @@ fn warm_multi_rate_ring_cycles_do_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm multi-rate ring cycles must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn warm_park_resume_churn_does_not_allocate() {
+    let _serial = GATE.lock().unwrap();
+    // An untraced length-only Ring: relays block on `get` between
+    // tokens, so modules and link pumps park and resume all the time.
+    // The warm window crosses the wake-subscription path end to end —
+    // arming on park, the kernel's per-signal subscription lists and
+    // per-process wake inboxes, the unit shards' and the module
+    // driver's draining and their armed-wire bookkeeping — and none of
+    // it may allocate once its buffers are warm.
+    let spec = ScenarioSpec {
+        units: 8,
+        topology: Topology::Ring,
+        values_per_link: 1_000_000,
+        link: LinkKind::Batched {
+            max_batch: 8,
+            capacity: 32,
+            timing: BusTiming::LengthOnly,
+        },
+        scheduling: SchedulingConfig::sharded(),
+        trace: false,
+        ..ScenarioSpec::default()
+    };
+    let mut s = build_scenario(&spec).expect("scenario builds");
+    s.cosim
+        .run_for(Duration::from_us(100))
+        .expect("warm-up runs");
+    let warm = s.cosim.shard_stats();
+    let before = allocs();
+    s.cosim.run_for(Duration::from_us(60)).expect("window runs");
+    let grew = allocs() - before;
+    let after = s.cosim.shard_stats();
+    assert!(
+        after.members_resumed > warm.members_resumed,
+        "the window must resume parked members: {warm:?} -> {after:?}"
+    );
+    assert_eq!(
+        grew, 0,
+        "warm park/resume churn must not allocate, saw {grew} allocations"
     );
 }

@@ -336,7 +336,8 @@ proptest! {
 
 /// A randomized design: free-running clocks, edge counters, delta-cycle
 /// inverter chains, timeout tickers, event-or-timeout waiters, clocked
-/// (`Wait::Same`) processes and a batched comm link.
+/// (`Wait::Same`) processes, a batched comm link and wake subscribers
+/// (`ProcCtx::wake_on`).
 #[derive(Debug, Clone)]
 struct KernelMix {
     /// Clock periods in ns (one clock signal each).
@@ -356,31 +357,46 @@ struct KernelMix {
     /// Whether to thread a batched comm link (put/pump/get over kernel
     /// wire signals) through the design.
     batched: bool,
+    /// Wake subscribers: (clock index, wait kind, timeout ns). Each arms
+    /// one-shot subscriptions on a clock and on an earlier observed
+    /// signal, folds the `(signal, tag)` wakes it receives — in order —
+    /// into its own output, and returns `Forever`, a timeout, a rising
+    /// wait or `Same` by kind.
+    subscribers: Vec<(usize, u8, u64)>,
     /// Total run length in ns.
     run_ns: u64,
 }
 
 fn arb_kernel_mix() -> impl Strategy<Value = KernelMix> {
     (
-        proptest::collection::vec(1u64..40, 1..4),
-        proptest::collection::vec(0usize..8, 0..6),
-        0usize..6,
-        proptest::collection::vec(1u64..60, 0..4),
-        proptest::collection::vec((0usize..8, 1u64..80), 0..4),
-        proptest::collection::vec(0usize..8, 0..5),
-        any::<bool>(),
-        1u64..1200,
+        (
+            proptest::collection::vec(1u64..40, 1..4),
+            proptest::collection::vec(0usize..8, 0..6),
+            0usize..6,
+            proptest::collection::vec(1u64..60, 0..4),
+            proptest::collection::vec((0usize..8, 1u64..80), 0..4),
+            proptest::collection::vec(0usize..8, 0..5),
+            any::<bool>(),
+            1u64..1200,
+        ),
+        proptest::collection::vec((0usize..8, 0u8..4, 1u64..60), 0..4),
     )
         .prop_map(
-            |(clocks, counters, chain, tickers, waiters, clocked, batched, run_ns)| KernelMix {
-                clocks,
-                counters,
-                chain,
-                tickers,
-                waiters,
-                clocked,
-                batched,
-                run_ns,
+            |(
+                (clocks, counters, chain, tickers, waiters, clocked, batched, run_ns),
+                subscribers,
+            )| {
+                KernelMix {
+                    clocks,
+                    counters,
+                    chain,
+                    tickers,
+                    waiters,
+                    clocked,
+                    batched,
+                    subscribers,
+                    run_ns,
+                }
             },
         )
 }
@@ -554,6 +570,36 @@ fn build_mix(
                     ctx.drive(sum, Value::Int(acc));
                 }
                 ClockControl::Continue
+            },
+        )));
+    }
+    // Wake subscribers: the order of the wakes they receive feeds their
+    // output, so both kernels must fire subscriptions identically —
+    // per evented signal in event order, then in arm order.
+    for (k, &(ci, kind, tmo)) in mix.subscribers.iter().enumerate() {
+        let clk = clk_sigs[ci % clk_sigs.len()];
+        let other = observed[(ci * 7 + k) % observed.len()];
+        let out = add_sig(&format!("S{k}"), Type::INT16, Value::Int(0));
+        observed.push(out);
+        add_proc(Box::new(FnProcess::new(
+            move |ctx: &mut cosma::sim::ProcCtx<'_>| {
+                let mut acc = ctx.read_int(out);
+                for &(sig, tag) in ctx.wakes() {
+                    acc = (acc * 5 + sig.index() as i64 * 3 + i64::from(tag)) & 0x3FFF;
+                }
+                ctx.drive(out, Value::Int(acc));
+                ctx.wake_on(clk, (acc % 4) as u32);
+                if acc % 3 == 0 {
+                    // Sometimes a second signal, and the clock twice.
+                    ctx.wake_on(other, 9);
+                    ctx.wake_on(clk, 11);
+                }
+                match kind {
+                    0 => Wait::Forever,
+                    1 => Wait::Timeout(Duration::from_ns(tmo)),
+                    2 => Wait::Rising(vec![other]),
+                    _ => Wait::Same,
+                }
             },
         )));
     }
