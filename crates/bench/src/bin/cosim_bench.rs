@@ -4,12 +4,13 @@
 //! topologies, legacy vs sharded scheduling, length-only vs
 //! payload-beat bus timing) and writes per-scenario timings to
 //! `BENCH_cosim.json` as a flat array of `{scenario, n, bus_timing,
-//! ns_per_run, p50_ns, max_ns, runs}` records, so CI can track the
-//! backplane's performance trajectory across PRs. `ns_per_run` is the
-//! mean, `p50_ns` the median and `max_ns` the slowest of `runs` timed
-//! runs. The `step_scaling` rows time a wide pipeline with parking off,
-//! so the module driver steps every module directly every cycle — the
-//! per-activation baseline of the default scheduler.
+//! ns_per_run, p50_ns, max_ns, runs, ns_per_tick, sim_us_per_wall_ms}`
+//! records, so CI can track the backplane's performance trajectory
+//! across PRs. `ns_per_run` is the mean, `p50_ns` the median and
+//! `max_ns` the slowest of `runs` timed runs. The `step_scaling` rows
+//! time a wide pipeline with parking off, so the module driver steps
+//! every module directly every cycle — the per-activation baseline of
+//! the default scheduler.
 //!
 //! The `bus_timing` column tracks the cost of cycle-accurate payload
 //! beats (`payload_beats` rows) against the length-only fast path.
@@ -32,9 +33,21 @@
 //! (`cosim::partition::Orchestrator`); the `variant` column names each
 //! side of both comparisons.
 //!
+//! The `board_run` row times the co-synthesis half: the motor
+//! controller built onto the PC-AT + FPGA board (`cosma_motor::
+//! build_board`, 40 segments of 100 counts; the default 4 × 25 under
+//! `--quick`) and run to its `Done` state in 100 µs chunks. Its
+//! `ns_per_tick` column is the run's wall-clock nanoseconds (fabric,
+//! peripheral and CPU together) per fabric tick and `sim_us_per_wall_ms`
+//! the board's simulated µs per wall-clock ms, both from the median run;
+//! the two columns are `null` on every other row.
+//! Its `n` is the segment count and its `bus_timing` is `"board"` (the
+//! board's own extension-bus wait states).
+//!
 //! Every row carries provenance for cross-machine trajectory
 //! comparisons: a `schema` version, the `git_rev` the binary was run
-//! against, the host's `cpus`, and a `timestamp` string passed in by
+//! against (suffixed `-dirty` when the working tree has uncommitted
+//! changes), the host's `cpus`, and a `timestamp` string passed in by
 //! the harness via `--timestamp` (never computed ad hoc in the loop;
 //! `null` when the harness does not pass one).
 //!
@@ -49,7 +62,7 @@ use cosma_sim::Duration;
 use std::time::Instant;
 
 /// Bump when row fields change meaning or shape.
-const SCHEMA_VERSION: u32 = 5;
+const SCHEMA_VERSION: u32 = 6;
 
 struct Record {
     scenario: &'static str,
@@ -67,12 +80,16 @@ struct Record {
     p50_ns: u128,
     max_ns: u128,
     runs: u32,
+    /// Wall-clock ns per fabric tick and simulated µs per wall ms of the
+    /// median run (`board_run` only).
+    board: Option<(f64, f64)>,
 }
 
-/// Short git revision of the working tree, for row provenance.
+/// Short git revision of the working tree, suffixed `-dirty` when it
+/// has uncommitted changes, for row provenance.
 fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--exclude", "*"])
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -151,6 +168,7 @@ fn measure(
         p50_ns,
         max_ns,
         runs,
+        board: None,
     }
 }
 
@@ -338,6 +356,7 @@ fn main() {
                 p50_ns,
                 max_ns,
                 runs,
+                board: None,
             });
         }
         if n == sizes[sizes.len() - 1] {
@@ -492,6 +511,7 @@ fn main() {
                 p50_ns: p50,
                 max_ns: max,
                 runs,
+                board: None,
             });
         }
         assert!(
@@ -562,6 +582,7 @@ fn main() {
                 p50_ns: p50,
                 max_ns: max,
                 runs,
+                board: None,
             });
         }
         let (uniform_p50, slow_p50) = (pair[0], pair[1]);
@@ -647,8 +668,59 @@ fn main() {
                 p50_ns: p50,
                 max_ns: max,
                 runs,
+                board: None,
             });
         }
+    }
+
+    // The board: the motor controller co-synthesized (Distribution on
+    // the MC16 ISS, Speed Control as netlists in the FPGA fabric, the
+    // motor as a peripheral) and run to Done. Fabric ticks dominate, so
+    // this row tracks netlist evaluation and the fabric's per-tick cost.
+    {
+        use cosma_board::BoardConfig;
+        use cosma_motor::{build_board, MotorConfig};
+        use cosma_synth::Encoding;
+        let cfg = if quick {
+            MotorConfig::default()
+        } else {
+            MotorConfig {
+                segments: 40,
+                segment_len: 100,
+                ..MotorConfig::default()
+            }
+        };
+        let run = || {
+            let mut sys =
+                build_board(&cfg, BoardConfig::default(), Encoding::Binary).expect("synthesizes");
+            let start = Instant::now();
+            let done = sys.run_to_completion(100_000, 10_000).expect("board runs");
+            let ns = start.elapsed().as_nanos();
+            assert!(done, "the board must reach Done");
+            (ns, sys.board.fabric_ticks(), sys.board.now_fs())
+        };
+        let (_, ticks, now_fs) = run();
+        let samples: Vec<u128> = (0..runs).map(|_| run().0).collect();
+        let (mean, p50, max) = summarize3(samples);
+        let ns_per_tick = p50 as f64 / ticks as f64;
+        let sim_us_per_wall_ms = (now_fs as f64 / 1e9) / (p50 as f64 / 1e6);
+        println!(
+            "{:<24} N={:<4} {mean:>12} ns/run  p50={p50} max={max}  ({runs} runs, \
+             {ticks} ticks, {ns_per_tick:.1} ns/tick, {sim_us_per_wall_ms:.1} sim us/wall ms)",
+            "board_run", cfg.segments,
+        );
+        records.push(Record {
+            scenario: "board_run",
+            n: cfg.segments as usize,
+            bus_timing: "board",
+            queue: None,
+            variant: None,
+            ns_per_run: mean,
+            p50_ns: p50,
+            max_ns: max,
+            runs,
+            board: Some((ns_per_tick, sim_us_per_wall_ms)),
+        });
     }
 
     // Sanity gate for CI: parked consumers must contribute ~zero
@@ -681,11 +753,16 @@ fn main() {
         let variant = r
             .variant
             .map_or_else(|| "null".to_string(), |v| format!("\"{v}\""));
+        let (ns_per_tick, sim_rate) = r.board.map_or_else(
+            || ("null".to_string(), "null".to_string()),
+            |(t, rate)| (format!("{t:.1}"), format!("{rate:.1}")),
+        );
         json.push_str(&format!(
             "  {{\"schema\": {}, \"scenario\": \"{}\", \"n\": {}, \
              \"bus_timing\": \"{}\", \"queue\": {}, \"variant\": {}, \
              \"ns_per_run\": {}, \
-             \"p50_ns\": {}, \"max_ns\": {}, \"runs\": {}, \"git_rev\": \"{}\", \"cpus\": {}, \
+             \"p50_ns\": {}, \"max_ns\": {}, \"runs\": {}, \
+             \"ns_per_tick\": {}, \"sim_us_per_wall_ms\": {}, \"git_rev\": \"{}\", \"cpus\": {}, \
              \"timestamp\": {}}}{}\n",
             SCHEMA_VERSION,
             r.scenario,
@@ -697,6 +774,8 @@ fn main() {
             r.p50_ns,
             r.max_ns,
             r.runs,
+            ns_per_tick,
+            sim_rate,
             rev,
             cpus,
             timestamp_json,

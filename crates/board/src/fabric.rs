@@ -5,6 +5,15 @@
 //! are asserted. All netlists see the same pre-tick bank state and writes
 //! are applied together afterwards — the same two-phase discipline as the
 //! co-simulation kernel, so execution order cannot change results.
+//!
+//! When several instances drive one wire in the same tick, the
+//! last-placed instance's value wins, and if the drivers disagree the
+//! wire counts as one conflict for that tick, however many drivers it
+//! has.
+//!
+//! A tick allocates nothing: each instance keeps its input words in a
+//! reusable buffer, and the fabric keeps the tick's pending writes in
+//! another.
 
 use crate::wire_bank::{SlotId, WireBank};
 use cosma_synth::{Netlist, NetlistSim};
@@ -18,6 +27,8 @@ struct Instance {
     input_slots: Vec<Option<SlotId>>,
     /// `(out node name base, value node, we node, slot)` per driven wire.
     drives: Vec<(String, cosma_synth::NodeId, cosma_synth::NodeId, SlotId)>,
+    /// Input words sampled from the bank, reused every tick.
+    inputs: Vec<u64>,
 }
 
 /// The fabric hosting synthesized hardware.
@@ -25,8 +36,11 @@ struct Instance {
 pub struct Fabric {
     instances: Vec<Instance>,
     ticks: u64,
-    /// Write conflicts observed (two instances driving one wire in the
-    /// same tick).
+    /// This tick's writes as `(slot, placement order, value)`, reused
+    /// every tick.
+    pending: Vec<(SlotId, usize, u64)>,
+    /// Write conflicts observed: wires whose drivers disagreed, counted
+    /// once per wire per tick.
     pub conflicts: u64,
 }
 
@@ -70,6 +84,7 @@ impl Fabric {
         self.instances.push(Instance {
             name: netlist.name().to_string(),
             sim,
+            inputs: vec![0; input_slots.len()],
             input_slots,
             drives,
         });
@@ -77,29 +92,30 @@ impl Fabric {
 
     /// One FPGA clock cycle.
     pub fn tick(&mut self, bank: &mut WireBank) {
-        let mut pending: Vec<(SlotId, u64)> = vec![];
-        for inst in &mut self.instances {
-            let inputs: Vec<u64> = inst
-                .input_slots
-                .iter()
-                .map(|s| s.map(|id| bank.read(id)).unwrap_or(0))
-                .collect();
-            inst.sim.step(&inputs);
+        self.pending.clear();
+        for (order, inst) in self.instances.iter_mut().enumerate() {
+            for (word, slot) in inst.inputs.iter_mut().zip(&inst.input_slots) {
+                *word = slot.map_or(0, |id| bank.read(id));
+            }
+            inst.sim.step(&inst.inputs);
             for (_, value_node, we_node, slot) in &inst.drives {
                 if inst.sim.node_value(*we_node) & 1 == 1 {
-                    pending.push((*slot, inst.sim.node_value(*value_node)));
+                    self.pending
+                        .push((*slot, order, inst.sim.node_value(*value_node)));
                 }
             }
         }
-        // Two-phase commit; detect multi-driver conflicts.
-        pending.sort_by_key(|(s, _)| s.0);
-        for w in pending.windows(2) {
-            if w[0].0 == w[1].0 && w[0].1 != w[1].1 {
+        // Two-phase commit in placement order per wire, so the last-placed
+        // driver wins; a wire whose drivers disagree is one conflict.
+        self.pending
+            .sort_unstable_by_key(|&(slot, order, _)| (slot.0, order));
+        for drivers in self.pending.chunk_by(|a, b| a.0 == b.0) {
+            if drivers.iter().any(|w| w.2 != drivers[0].2) {
                 self.conflicts += 1;
             }
-        }
-        for (slot, v) in pending {
-            bank.write(slot, v);
+            for &(slot, _, v) in drivers {
+                bank.write(slot, v);
+            }
         }
         self.ticks += 1;
     }
@@ -221,24 +237,44 @@ mod tests {
         assert_eq!(fabric.conflicts, 0);
     }
 
+    /// A netlist that drives the constant `v` onto wire `W` every cycle.
+    fn constant_driver(v: u64) -> Netlist {
+        let mut n = Netlist::new(format!("drive{v}"));
+        let c = n.constant(v, 8);
+        let we = n.constant(1, 1);
+        n.mark_output("W__out", c);
+        n.mark_output("W__we", we);
+        n
+    }
+
     #[test]
     fn conflicting_drivers_counted() {
-        let mut a = Netlist::new("a");
-        let c5 = a.constant(5, 8);
-        let we = a.constant(1, 1);
-        a.mark_output("W__out", c5);
-        a.mark_output("W__we", we);
-        let mut b = Netlist::new("b");
-        let c9 = b.constant(9, 8);
-        let we = b.constant(1, 1);
-        b.mark_output("W__out", c9);
-        b.mark_output("W__we", we);
         let mut bank = WireBank::new();
         let mut fabric = Fabric::new();
-        fabric.place(&a, &mut bank);
-        fabric.place(&b, &mut bank);
+        fabric.place(&constant_driver(5), &mut bank);
+        fabric.place(&constant_driver(9), &mut bank);
         fabric.tick(&mut bank);
         assert_eq!(fabric.conflicts, 1);
+    }
+
+    #[test]
+    fn conflicts_count_each_wire_once_in_any_placement_order() {
+        for order in [[5, 9, 5], [5, 5, 9], [9, 5, 5]] {
+            let mut bank = WireBank::new();
+            let mut fabric = Fabric::new();
+            for v in order {
+                fabric.place(&constant_driver(v), &mut bank);
+            }
+            fabric.tick(&mut bank);
+            assert_eq!(fabric.conflicts, 1, "placement order {order:?}");
+            assert_eq!(
+                bank.read_named("W"),
+                Some(order[2]),
+                "last-placed driver wins, order {order:?}"
+            );
+            fabric.tick(&mut bank);
+            assert_eq!(fabric.conflicts, 2, "one conflict per tick, {order:?}");
+        }
     }
 
     #[test]

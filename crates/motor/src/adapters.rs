@@ -7,7 +7,7 @@
 //! co-simulation and board runs comparable.
 
 use crate::plant::MotorModel;
-use cosma_board::{Peripheral, WireBank};
+use cosma_board::{Peripheral, SlotId, WireBank};
 use cosma_core::{Bit, Value};
 use cosma_cosim::TraceLog;
 use cosma_sim::{ClockControl, Edge, ProcessId, SignalId, Simulator};
@@ -104,9 +104,18 @@ impl MotorCosim {
 /// The board adapter: a fabric peripheral over wire-bank slots named
 /// `<instance>_PULSE_CMD`, `<instance>_PULSE_STROBE`,
 /// `<instance>_PULSE_ACK` and `<instance>_SAMPLED_POS`.
+///
+/// The slots are resolved by name on the first tick that finds them and
+/// accessed by [`SlotId`] after that. A slot missing from the bank reads
+/// 0 and is not written; it is looked up again on each tick until it
+/// appears.
 pub struct MotorPeripheral {
     motor: SharedMotor,
     prefix: String,
+    /// Slot names: command, strobe, acknowledge, sampled position.
+    names: [String; 4],
+    /// The resolved slots, in `names` order.
+    slots: [Option<SlotId>; 4],
 }
 
 impl std::fmt::Debug for MotorPeripheral {
@@ -120,30 +129,45 @@ impl MotorPeripheral {
     /// `"mlink"`).
     #[must_use]
     pub fn new(motor: SharedMotor, prefix: impl Into<String>) -> Self {
+        let prefix = prefix.into();
+        let names = ["PULSE_CMD", "PULSE_STROBE", "PULSE_ACK", "SAMPLED_POS"]
+            .map(|w| format!("{prefix}_{w}"));
         MotorPeripheral {
             motor,
-            prefix: prefix.into(),
+            prefix,
+            names,
+            slots: [None; 4],
         }
     }
 }
 
 impl Peripheral for MotorPeripheral {
     fn tick(&mut self, bank: &mut WireBank, trace: &mut TraceLog, now_fs: u64) {
-        let name = |w: &str| format!("{}_{w}", self.prefix);
-        let strobe = bank.read_named(&name("PULSE_STROBE")).unwrap_or(0) & 1;
-        let ack = bank.read_named(&name("PULSE_ACK")).unwrap_or(0) & 1;
+        for (slot, name) in self.slots.iter_mut().zip(&self.names) {
+            if slot.is_none() {
+                *slot = bank.index(name);
+            }
+        }
+        let [cmd, strobe, ack, sampled] = self.slots;
+        let read = |s: Option<SlotId>| s.map_or(0, |id| bank.read(id));
+        let write = |bank: &mut WireBank, s: Option<SlotId>, v: u64| {
+            if let Some(id) = s {
+                bank.write(id, v);
+            }
+        };
+        let strobe_v = read(strobe) & 1;
+        let ack_v = read(ack) & 1;
         let mut motor = self.motor.borrow_mut();
-        if strobe == 1 && ack == 0 {
-            let raw = bank.read_named(&name("PULSE_CMD")).unwrap_or(0);
-            let n = i64::from(raw as u16 as i16);
+        if strobe_v == 1 && ack_v == 0 {
+            let n = i64::from(read(cmd) as u16 as i16);
             motor.command_pulses(n);
-            bank.write_named(&name("PULSE_ACK"), 1);
+            write(bank, ack, 1);
             trace.record(now_fs, "motor", "pulse", vec![Value::Int(n)]);
-        } else if strobe == 0 && ack == 1 {
-            bank.write_named(&name("PULSE_ACK"), 0);
+        } else if strobe_v == 0 && ack_v == 1 {
+            write(bank, ack, 0);
         }
         motor.tick();
-        bank.write_named(&name("SAMPLED_POS"), motor.sampled() as u64 & 0xFFFF);
+        write(bank, sampled, motor.sampled() as u64 & 0xFFFF);
     }
 }
 
@@ -202,5 +226,33 @@ mod tests {
             Some((-4i16 as u16).into()),
             "two's complement on the wire"
         );
+    }
+
+    #[test]
+    fn peripheral_missing_slots_read_zero_until_added() {
+        let motor = shared_motor(2);
+        let mut p = MotorPeripheral::new(motor.clone(), "mlink");
+        let mut bank = WireBank::new();
+        let other = bank.add("other", 16, 7);
+        let mut trace = TraceLog::new();
+        // No slots: strobe reads 0, so nothing is consumed or written.
+        p.tick(&mut bank, &mut trace, 0);
+        assert_eq!(bank.len(), 1, "a missing slot is not created");
+        assert_eq!(bank.write_count(other), 0);
+        assert_eq!(trace.with_label("pulse").count(), 0);
+
+        // Slots appear later: the peripheral finds them on its next tick.
+        bank.add("mlink_PULSE_CMD", 16, 3);
+        bank.add("mlink_PULSE_STROBE", 1, 1);
+        let ack = bank.add("mlink_PULSE_ACK", 1, 0);
+        p.tick(&mut bank, &mut trace, 1);
+        assert_eq!(bank.read(ack), 1);
+        assert_eq!(trace.with_label("pulse").count(), 1);
+        assert_eq!(bank.read_named("mlink_SAMPLED_POS"), None);
+
+        let sampled = bank.add("mlink_SAMPLED_POS", 16, 0);
+        p.tick(&mut bank, &mut trace, 2);
+        assert_eq!(bank.read(sampled), motor.borrow().sampled() as u64);
+        assert_eq!(bank.write_count(sampled), 1);
     }
 }

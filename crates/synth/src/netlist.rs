@@ -6,6 +6,12 @@
 //! hardware can run on the board model and be checked against the
 //! interpreted FSM — coherence as a measurement, not an assumption.
 //!
+//! Evaluation ([`NetlistSim`]) is event-driven: the simulator builds a
+//! fan-out table once, and each cycle evaluates only the nodes that a
+//! changed input word or a changed register can reach. The first cycle
+//! evaluates every node. The values it exposes are those of a full
+//! evaluation every cycle.
+//!
 //! A technology model ([`TechReport`]) estimates 4-LUT count, flip-flops,
 //! logic depth and fmax in the spirit of the paper's Xilinx XC4000 target.
 
@@ -363,15 +369,11 @@ impl Netlist {
     }
 
     /// Creates a cycle-accurate simulator for this netlist (the netlist
-    /// is cloned so the simulator is self-contained and storable).
+    /// is cloned so the simulator is self-contained and storable). Its
+    /// fan-out tables are built here, once; see [`NetlistSim`].
     #[must_use]
     pub fn simulator(&self) -> NetlistSim {
-        NetlistSim {
-            reg_values: self.regs.iter().map(|r| r.init).collect(),
-            node_values: vec![0; self.nodes.len()],
-            cycles: 0,
-            netlist: self.clone(),
-        }
+        NetlistSim::new(self)
     }
 
     /// Technology-maps the netlist onto 4-LUT logic and reports
@@ -475,91 +477,219 @@ fn sign_extend(v: u64, width: u32) -> i64 {
     }
 }
 
+/// Compressed-sparse-row index: `row(k)` lists the node indices keyed
+/// by `k` (the readers of a node, the `Input` nodes of an input, the
+/// `ReadReg` nodes of a register).
+#[derive(Debug, Clone)]
+struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Builds the index over `rows` keys from `(key, item)` pairs; items
+    /// keep their pair order within a row.
+    fn new(rows: usize, pairs: &[(usize, u32)]) -> Self {
+        let mut start = vec![0u32; rows + 1];
+        for &(k, _) in pairs {
+            start[k + 1] += 1;
+        }
+        for k in 0..rows {
+            start[k + 1] += start[k];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0u32; pairs.len()];
+        for &(k, item) in pairs {
+            items[fill[k] as usize] = item;
+            fill[k] += 1;
+        }
+        Csr { start, items }
+    }
+
+    fn row(&self, k: usize) -> &[u32] {
+        &self.items[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
 /// Cycle-accurate evaluation state for a [`Netlist`], owning its netlist.
+///
+/// Evaluation is event-driven: a [`step`](NetlistSim::step) evaluates
+/// only the nodes that a changed input word or a changed register can
+/// reach. Every node starts dirty, so the first step evaluates the whole
+/// netlist; after that, a node is re-evaluated only when an operand
+/// changed value. Nodes are appended after their operands, so a sweep in
+/// ascending node index is a topological order and each dirty node is
+/// evaluated at most once per step. The observable values
+/// ([`node_value`](NetlistSim::node_value),
+/// [`reg_value`](NetlistSim::reg_value),
+/// [`output_value`](NetlistSim::output_value)) are those of evaluating
+/// every node every cycle.
 #[derive(Debug, Clone)]
 pub struct NetlistSim {
     netlist: Netlist,
     reg_values: Vec<u64>,
     node_values: Vec<u64>,
     cycles: u64,
+    /// Input words of the last step, by input index.
+    input_words: Vec<u64>,
+    /// Node → the nodes that read it as an operand.
+    fanout: Csr,
+    /// Input → its `Input` nodes.
+    input_nodes: Csr,
+    /// Register → its `ReadReg` nodes.
+    reg_readers: Csr,
+    /// One bit per node: evaluate it in the next step.
+    dirty: Vec<u64>,
 }
 
 impl NetlistSim {
+    fn new(netlist: &Netlist) -> Self {
+        let n = netlist.nodes.len();
+        let mut reads = vec![];
+        let mut input_of = vec![];
+        let mut reg_of = vec![];
+        for (i, def) in netlist.nodes.iter().enumerate() {
+            let i = i as u32;
+            match &def.node {
+                Node::Const(_) => {}
+                Node::Input(id) => input_of.push((id.index(), i)),
+                Node::ReadReg(r) => reg_of.push((r.index(), i)),
+                Node::Not(a) | Node::Neg(a) | Node::Resize(a) => reads.push((a.index(), i)),
+                Node::Bin(_, a, b) => {
+                    reads.push((a.index(), i));
+                    reads.push((b.index(), i));
+                }
+                Node::Mux(s, t, f) => {
+                    reads.push((s.index(), i));
+                    reads.push((t.index(), i));
+                    reads.push((f.index(), i));
+                }
+            }
+        }
+        // Every node starts dirty: the first step evaluates them all.
+        let mut dirty = vec![0; n.div_ceil(64)];
+        for i in 0..n {
+            dirty[i / 64] |= 1 << (i % 64);
+        }
+        NetlistSim {
+            reg_values: netlist.regs.iter().map(|r| r.init).collect(),
+            node_values: vec![0; n],
+            cycles: 0,
+            input_words: vec![0; netlist.inputs.len()],
+            fanout: Csr::new(n, &reads),
+            input_nodes: Csr::new(netlist.inputs.len(), &input_of),
+            reg_readers: Csr::new(netlist.regs.len(), &reg_of),
+            dirty,
+            netlist: netlist.clone(),
+        }
+    }
+
     /// The simulated netlist.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
     }
 
+    fn mark(dirty: &mut [u64], nodes: &[u32]) {
+        for &n in nodes {
+            dirty[n as usize / 64] |= 1 << (n % 64);
+        }
+    }
+
     /// Evaluates one clock cycle with the given input values (by input
     /// declaration order; missing inputs read 0).
     pub fn step(&mut self, inputs: &[u64]) {
-        let nl = &self.netlist;
-        for (i, def) in nl.nodes.iter().enumerate() {
-            let w = def.width;
-            let v = match &def.node {
-                Node::Const(c) => *c,
-                Node::Input(id) => {
-                    inputs.get(id.index()).copied().unwrap_or(0) & mask(nl.inputs[id.index()].1)
-                }
-                Node::ReadReg(r) => self.reg_values[r.index()],
-                Node::Resize(a) => self.node_values[a.index()],
-                Node::Not(a) => !self.node_values[a.index()],
-                Node::Neg(a) => (self.node_values[a.index()] as i64).wrapping_neg() as u64,
-                Node::Mux(s, t, f) => {
-                    if self.node_values[s.index()] & 1 == 1 {
-                        self.node_values[t.index()]
-                    } else {
-                        self.node_values[f.index()]
-                    }
-                }
-                Node::Bin(op, a, b) => {
-                    let wa = nl.nodes[a.index()].width;
-                    let wb = nl.nodes[b.index()].width;
-                    let ua = self.node_values[a.index()];
-                    let ub = self.node_values[b.index()];
-                    let sa = sign_extend(ua, wa);
-                    let sb = sign_extend(ub, wb);
-                    match op {
-                        Op::Add => (sa.wrapping_add(sb)) as u64,
-                        Op::Sub => (sa.wrapping_sub(sb)) as u64,
-                        Op::Mul => (sa.wrapping_mul(sb)) as u64,
-                        Op::Div => {
-                            if sb == 0 {
-                                0
-                            } else {
-                                sa.wrapping_div(sb) as u64
-                            }
-                        }
-                        Op::Rem => {
-                            if sb == 0 {
-                                0
-                            } else {
-                                sa.wrapping_rem(sb) as u64
-                            }
-                        }
-                        Op::And => ua & ub,
-                        Op::Or => ua | ub,
-                        Op::Xor => ua ^ ub,
-                        Op::Shl => ua.wrapping_shl(ub as u32 & 63),
-                        Op::Shr => (sa >> (ub as u32 & 63)) as u64,
-                        Op::Eq => u64::from(ua == ub),
-                        Op::Lt => u64::from(sa < sb),
-                        Op::Le => u64::from(sa <= sb),
-                        Op::Min => sa.min(sb) as u64,
-                        Op::Max => sa.max(sb) as u64,
-                    }
-                }
-            };
-            self.node_values[i] = v & mask(w);
+        for (i, word) in self.input_words.iter_mut().enumerate() {
+            let v = inputs.get(i).copied().unwrap_or(0);
+            if v != *word {
+                *word = v;
+                Self::mark(&mut self.dirty, self.input_nodes.row(i));
+            }
         }
-        // Clock edge: registers load next values simultaneously.
-        for (i, reg) in nl.regs.iter().enumerate() {
+        // Operands precede their readers, so every mark lands above the
+        // node being evaluated: one ascending sweep settles the netlist.
+        for w in 0..self.dirty.len() {
+            while self.dirty[w] != 0 {
+                let i = w * 64 + self.dirty[w].trailing_zeros() as usize;
+                self.dirty[w] &= self.dirty[w] - 1;
+                let v = self.eval_node(i);
+                if v != self.node_values[i] {
+                    self.node_values[i] = v;
+                    Self::mark(&mut self.dirty, self.fanout.row(i));
+                }
+            }
+        }
+        // Clock edge: registers load next values simultaneously; readers
+        // of a changed register evaluate in the next step.
+        for (i, reg) in self.netlist.regs.iter().enumerate() {
             if let Some(next) = reg.next {
-                self.reg_values[i] = self.node_values[next.index()] & mask(reg.width);
+                let v = self.node_values[next.index()] & mask(reg.width);
+                if v != self.reg_values[i] {
+                    self.reg_values[i] = v;
+                    Self::mark(&mut self.dirty, self.reg_readers.row(i));
+                }
             }
         }
         self.cycles += 1;
+    }
+
+    /// Value of node `i` from the current input words, registers and
+    /// operand values, masked to the node's width.
+    fn eval_node(&self, i: usize) -> u64 {
+        let nl = &self.netlist;
+        let def = &nl.nodes[i];
+        let val = |n: &NodeId| self.node_values[n.index()];
+        let v = match &def.node {
+            Node::Const(c) => *c,
+            Node::Input(id) => self.input_words[id.index()],
+            Node::ReadReg(r) => self.reg_values[r.index()],
+            Node::Resize(a) => val(a),
+            Node::Not(a) => !val(a),
+            Node::Neg(a) => (val(a) as i64).wrapping_neg() as u64,
+            Node::Mux(s, t, f) => {
+                if val(s) & 1 == 1 {
+                    val(t)
+                } else {
+                    val(f)
+                }
+            }
+            Node::Bin(op, a, b) => {
+                let ua = val(a);
+                let ub = val(b);
+                let sa = sign_extend(ua, nl.nodes[a.index()].width);
+                let sb = sign_extend(ub, nl.nodes[b.index()].width);
+                match op {
+                    Op::Add => (sa.wrapping_add(sb)) as u64,
+                    Op::Sub => (sa.wrapping_sub(sb)) as u64,
+                    Op::Mul => (sa.wrapping_mul(sb)) as u64,
+                    Op::Div => {
+                        if sb == 0 {
+                            0
+                        } else {
+                            sa.wrapping_div(sb) as u64
+                        }
+                    }
+                    Op::Rem => {
+                        if sb == 0 {
+                            0
+                        } else {
+                            sa.wrapping_rem(sb) as u64
+                        }
+                    }
+                    Op::And => ua & ub,
+                    Op::Or => ua | ub,
+                    Op::Xor => ua ^ ub,
+                    Op::Shl => ua.wrapping_shl(ub as u32 & 63),
+                    Op::Shr => (sa >> (ub as u32 & 63)) as u64,
+                    Op::Eq => u64::from(ua == ub),
+                    Op::Lt => u64::from(sa < sb),
+                    Op::Le => u64::from(sa <= sb),
+                    Op::Min => sa.min(sb) as u64,
+                    Op::Max => sa.max(sb) as u64,
+                }
+            }
+        };
+        v & mask(def.width)
     }
 
     /// Current register value.
@@ -580,10 +710,12 @@ impl NetlistSim {
         self.netlist.output(name).map(|n| self.node_value(n))
     }
 
-    /// Forces a register value (reset/test).
+    /// Forces a register value (reset/test); its readers re-evaluate in
+    /// the next step.
     pub fn set_reg(&mut self, r: RegId, v: u64) {
         let w = self.netlist.regs[r.index()].width;
         self.reg_values[r.index()] = v & mask(w);
+        Self::mark(&mut self.dirty, self.reg_readers.row(r.index()));
     }
 
     /// Cycles executed.

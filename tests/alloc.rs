@@ -17,15 +17,26 @@
 //! resume every few cycles through the kernel's one-shot wake
 //! subscriptions.
 //!
+//! The board gate places the motor controller's three synthesized
+//! netlists on a [`Fabric`] and pins warm fabric ticks (bank sampling,
+//! event-driven netlist evaluation, the two-phase write commit) to zero
+//! allocations as well.
+//!
 //! Run with: `cargo test --features count-allocs --test alloc`
 #![cfg(feature = "count-allocs")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use cosma::board::{Fabric, WireBank};
 use cosma::cosim::scenario::{build_scenario, DomainsSpec, LinkKind, ScenarioSpec, Topology};
 use cosma::cosim::{BusTiming, SchedulingConfig};
+use cosma::motor::{
+    core_module, motor_link_unit, position_module, swhw_link_unit, timer_module, MotorConfig,
+};
 use cosma::sim::Duration;
+use cosma::synth::{flatten_module, synthesize_hw, Encoding};
+use std::collections::HashMap;
 
 /// Counts every heap acquisition (alloc, zeroed alloc, realloc) while
 /// delegating to the system allocator. Deallocations are not counted:
@@ -233,5 +244,57 @@ fn warm_park_resume_churn_does_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm park/resume churn must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn warm_fabric_ticks_do_not_allocate() {
+    let _serial = GATE.lock().unwrap();
+    // The motor's Speed Control units synthesized and placed as the
+    // board assembly does, with the bank's other side (the CPU's
+    // mailbox posts and the motor's handshake and sampled position)
+    // written between ticks so the netlists keep re-evaluating.
+    let cfg = MotorConfig::default();
+    let mut units = HashMap::new();
+    units.insert("swhw".to_string(), swhw_link_unit());
+    units.insert("mlink".to_string(), motor_link_unit());
+    let mut bank = WireBank::new();
+    let mut fabric = Fabric::new();
+    for module in [position_module(&cfg), core_module(), timer_module(&cfg)] {
+        let flat = flatten_module(&module, &units).expect("module flattens");
+        let (nl, _) = synthesize_hw(&flat, Encoding::Binary).expect("module synthesizes");
+        fabric.place(&nl, &mut bank);
+    }
+    let slot = |name: &str| bank.index(name).expect("placed netlists use the wire");
+    let (pos_reg, pos_full) = (slot("swhw_POS_REG"), slot("swhw_POS_FULL"));
+    let (strobe, ack) = (slot("mlink_PULSE_STROBE"), slot("mlink_PULSE_ACK"));
+    let sampled = slot("mlink_SAMPLED_POS");
+    let tick = |fabric: &mut Fabric, bank: &mut WireBank, k: u64| {
+        if k % 64 == 0 {
+            bank.write(pos_reg, (k / 64) * 25);
+            bank.write(pos_full, 1);
+        }
+        // The motor acknowledges every strobe and creeps forward.
+        bank.write(ack, bank.read(strobe));
+        bank.write(sampled, (k / 16) & 0xFFFF);
+        fabric.tick(bank);
+    };
+    for k in 0..5_000 {
+        tick(&mut fabric, &mut bank, k);
+    }
+    let strobes = bank.write_count(strobe);
+    let before = allocs();
+    for k in 5_000..10_000 {
+        tick(&mut fabric, &mut bank, k);
+    }
+    let grew = allocs() - before;
+    assert!(
+        bank.write_count(strobe) > strobes,
+        "the netlists must keep driving the motor handshake in the window"
+    );
+    assert_eq!(fabric.ticks(), 10_000);
+    assert_eq!(
+        grew, 0,
+        "warm fabric ticks must not allocate, saw {grew} allocations"
     );
 }

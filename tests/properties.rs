@@ -3,7 +3,7 @@
 use cosma::comm::{CallerId, FifoChannel, NativeUnit};
 use cosma::core::{Expr, FsmExec, MapEnv, ModuleBuilder, ModuleKind, PortDir, Stmt, Type, Value};
 use cosma::isa::{disassemble, Instr, Reg};
-use cosma::synth::{synthesize_hw, Encoding};
+use cosma::synth::{synthesize_hw, Encoding, Netlist, NodeId, Op, RegId};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -181,6 +181,138 @@ proptest! {
             let expect = env.var(acc).to_bus_word(16);
             prop_assert_eq!(sim.reg_value(reg), expect, "inputs ({}, {})", x, y);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Netlist evaluation: the event-driven step (only the nodes a changed
+// input word or register reaches) leaves every node and register where
+// evaluating the whole netlist for the same cycle puts them.
+// ---------------------------------------------------------------------
+
+/// Every binary operation, indexed by a random draw.
+const NETLIST_OPS: [Op; 15] = [
+    Op::Add,
+    Op::Sub,
+    Op::Mul,
+    Op::Div,
+    Op::Rem,
+    Op::And,
+    Op::Or,
+    Op::Xor,
+    Op::Shl,
+    Op::Shr,
+    Op::Eq,
+    Op::Lt,
+    Op::Le,
+    Op::Min,
+    Op::Max,
+];
+
+/// Builds a netlist from raw draws: one input per `inputs` width, one
+/// register per `regs` `(width, init)`, and one node per `nodes` word
+/// (its low bits pick the kind, higher bits the operands and width).
+/// Every register gets a next-value node. Returns the netlist, every
+/// node id it has and its registers.
+fn random_netlist(
+    inputs: &[u32],
+    reg_defs: &[(u32, u64)],
+    nodes: &[u64],
+) -> (Netlist, Vec<NodeId>, Vec<RegId>) {
+    let mut n = Netlist::new("random");
+    let mut ids = vec![];
+    for (i, &w) in inputs.iter().enumerate() {
+        ids.push(n.input(format!("I{i}"), w).1);
+    }
+    let regs: Vec<RegId> = reg_defs
+        .iter()
+        .enumerate()
+        .map(|(i, &(w, init))| n.reg(format!("R{i}"), w, init))
+        .collect();
+    for &r in &regs {
+        ids.push(n.read_reg(r));
+    }
+    for &word in nodes {
+        let pick = |shift: u32| ids[((word >> shift) % ids.len() as u64) as usize];
+        let (a, b, c) = (pick(8), pick(20), pick(32));
+        let width = ((word >> 44) % 16) as u32 + 1;
+        let id = match word % 8 {
+            0 => n.constant(word >> 48, width),
+            1 => n.not(a),
+            2 => n.neg(a),
+            3 | 4 => n.bin(NETLIST_OPS[((word >> 52) % 15) as usize], a, b),
+            5 => {
+                let sel = n.resize(a, 1);
+                ids.push(sel);
+                n.mux(sel, b, c)
+            }
+            6 => n.resize(a, width),
+            _ => n.read_reg(regs[((word >> 8) % regs.len() as u64) as usize]),
+        };
+        ids.push(id);
+    }
+    for (i, &r) in regs.iter().enumerate() {
+        let src = ids[(nodes.get(i).copied().unwrap_or(0) as usize >> 3) % ids.len()];
+        let next = n.resize(src, reg_defs[i].0);
+        n.set_reg_next(r, next);
+        ids.push(next);
+    }
+    (n, ids, regs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    #[test]
+    fn incremental_netlist_matches_full_evaluation(
+        inputs in proptest::collection::vec(1u32..17, 1..5),
+        regs in proptest::collection::vec((1u32..17, any::<u64>()), 1..5),
+        nodes in proptest::collection::vec(any::<u64>(), 4..48),
+        steps in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u32..16), 1..40),
+    ) {
+        let (nl, ids, regs) = random_netlist(&inputs, &regs, &nodes);
+        let mut sim = nl.simulator();
+        let mut words = vec![0u64; inputs.len()];
+        for (step, &(sel, val, kind)) in steps.iter().enumerate() {
+            let mut len = words.len();
+            match kind {
+                // Half the steps repeat the last inputs: partial or idle.
+                0..=7 => {}
+                8..=13 => {
+                    let i = sel as usize % words.len();
+                    words[i] = if sel & 64 == 0 { val % 4 } else { val };
+                }
+                14 => sim.set_reg(regs[sel as usize % regs.len()], val),
+                // A short input slice: the missing words read 0.
+                _ => len = sel as usize % (words.len() + 1),
+            }
+            let before: Vec<u64> = regs.iter().map(|&r| sim.reg_value(r)).collect();
+            sim.step(&words[..len]);
+
+            let mut full = nl.simulator();
+            for (&r, &v) in regs.iter().zip(&before) {
+                full.set_reg(r, v);
+            }
+            full.step(&words[..len]);
+            for &id in &ids {
+                prop_assert_eq!(
+                    sim.node_value(id),
+                    full.node_value(id),
+                    "node {} at step {}",
+                    id.index(),
+                    step
+                );
+            }
+            for &r in &regs {
+                prop_assert_eq!(
+                    sim.reg_value(r),
+                    full.reg_value(r),
+                    "register {} at step {}",
+                    r.index(),
+                    step
+                );
+            }
+        }
+        prop_assert_eq!(sim.cycles(), steps.len() as u64);
     }
 }
 
