@@ -46,7 +46,9 @@
 //! payload-beat bus occupancy ([`UnitStats::payload_beats`]).
 
 use crate::library::batched_handshake_unit;
-use crate::runtime::{CallerId, FsmUnitRuntime, FsmUnitState, UnitStats, WireStore};
+use crate::runtime::{
+    CallerId, FsmUnitRuntime, FsmUnitState, ServiceCounters, UnitStats, WireStore,
+};
 use cosma_core::comm::CommUnitSpec;
 use cosma_core::ids::PortId;
 use cosma_core::{Bit, EvalError, ServiceOutcome, Type, Value};
@@ -58,6 +60,14 @@ use std::sync::Arc;
 const BUS_PRODUCER: CallerId = CallerId(u64::MAX);
 /// Internal caller draining the consumer side of the wire handshake.
 const BUS_CONSUMER: CallerId = CallerId(u64::MAX - 1);
+
+/// The link's services, in service-position order
+/// ([`BatchedLink::resolve`]).
+const SERVICES: [&str; 2] = ["put", "get"];
+/// Position of `put` in [`SERVICES`].
+const PUT: usize = 0;
+/// Position of `get` in [`SERVICES`].
+const GET: usize = 1;
 
 /// How a batch occupies the bus at the wire level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -210,6 +220,14 @@ pub struct BatchedLink {
     /// schedule ([`WireStore::write_wire_train`]). Always drained back
     /// to empty within `pump`, so it is derived state and not captured.
     beat_words: Vec<Value>,
+    /// Positions of the inner bus protocol's `put` and `get` services,
+    /// resolved once at construction.
+    bus_put: usize,
+    bus_get: usize,
+    /// `put`/`get` call counters, by position in [`SERVICES`].
+    calls: ServiceCounters,
+    /// Batch counters; its `services` map stays empty (rows live in
+    /// `calls` and are merged in on read).
     stats: UnitStats,
 }
 
@@ -270,8 +288,15 @@ impl BatchedLink {
         let last_wire = spec
             .wire_id("B_LAST")
             .expect("batched handshake spec has a B_LAST wire");
+        let inner = FsmUnitRuntime::new(spec);
+        let bus_put = inner
+            .resolve("put", 1)
+            .expect("batched handshake spec has a put service");
+        let bus_get = inner
+            .resolve("get", 0)
+            .expect("batched handshake spec has a get service");
         Ok(BatchedLink {
-            inner: FsmUnitRuntime::new(spec),
+            inner,
             data_ty,
             pending_wire,
             data_wire,
@@ -290,6 +315,9 @@ impl BatchedLink {
             beat: 0,
             last_call_stable: false,
             beat_words: Vec::new(),
+            bus_put,
+            bus_get,
+            calls: ServiceCounters::new(SERVICES.len()),
             stats: UnitStats::default(),
         })
     }
@@ -428,9 +456,35 @@ impl BatchedLink {
         Ok(())
     }
 
-    /// Dispatches one service activation by name — the single call entry
-    /// point of module service calls. A malformed call (unknown service, wrong
-    /// arity, payload of the wrong kind) surfaces as a typed
+    /// Resolves a call of `service` with `arity` arguments to its
+    /// position (`put` 0, `get` 1), the handle
+    /// [`BatchedLink::call_resolved`] takes. Names match exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`EvalError::Service`] for unknown services or
+    /// arity mismatches, naming the service as the caller spelled it.
+    pub fn resolve(&self, service: &str, arity: usize) -> Result<usize, EvalError> {
+        let Some(idx) = SERVICES.iter().position(|s| *s == service) else {
+            return Err(EvalError::Service(format!(
+                "batched link {} has no service {service}",
+                self.inner.spec().name()
+            )));
+        };
+        let expects = if idx == PUT { 1 } else { 0 };
+        if arity != expects {
+            return Err(EvalError::Service(format!(
+                "batched link {}: service {service} called with {arity} argument(s)",
+                self.inner.spec().name()
+            )));
+        }
+        Ok(idx)
+    }
+
+    /// Dispatches one service activation by name: resolves it
+    /// ([`BatchedLink::resolve`]) and delegates to
+    /// [`BatchedLink::call_resolved`]. A malformed call (unknown service,
+    /// wrong arity, payload of the wrong kind) surfaces as a typed
     /// [`EvalError::Service`], never a panic.
     ///
     /// # Errors
@@ -443,19 +497,40 @@ impl BatchedLink {
         args: &[Value],
         wires: &mut dyn WireStore,
     ) -> Result<ServiceOutcome, EvalError> {
+        let idx = self.resolve(service, args.len())?;
+        self.call_resolved(caller, idx, args, wires)
+    }
+
+    /// Dispatches one activation of the service at position `service`
+    /// (from [`BatchedLink::resolve`]) — the single call entry point of
+    /// bound module service calls.
+    ///
+    /// # Errors
+    ///
+    /// Typed [`EvalError::Service`] for an unknown position, an arity
+    /// mismatch or a payload of the wrong kind; wire-store errors
+    /// propagate.
+    pub fn call_resolved(
+        &mut self,
+        caller: CallerId,
+        service: usize,
+        args: &[Value],
+        wires: &mut dyn WireStore,
+    ) -> Result<ServiceOutcome, EvalError> {
         match (service, args) {
-            ("put", [v]) => {
+            (PUT, [v]) => {
                 self.check_payload(v)?;
                 self.put(caller, v.clone(), wires)
             }
-            ("get", []) => self.get(caller, wires),
-            ("put" | "get", _) => Err(EvalError::Service(format!(
-                "batched link {}: service {service} called with {} argument(s)",
+            (GET, []) => self.get(caller, wires),
+            (PUT | GET, _) => Err(EvalError::Service(format!(
+                "batched link {}: service {} called with {} argument(s)",
                 self.inner.spec().name(),
+                SERVICES[service],
                 args.len()
             ))),
-            (other, _) => Err(EvalError::Service(format!(
-                "batched link {} has no service {other}",
+            _ => Err(EvalError::Service(format!(
+                "batched link {} has no service #{service}",
                 self.inner.spec().name()
             ))),
         }
@@ -474,8 +549,7 @@ impl BatchedLink {
         wires: &mut dyn WireStore,
     ) -> Result<ServiceOutcome, EvalError> {
         let full = self.occupancy() >= self.capacity;
-        let stats = self.stats.service_mut("put");
-        stats.calls += 1;
+        self.calls.bump(PUT, !full);
         if full {
             // Rejected by backpressure: nothing changed, so the call is
             // a provable no-op — but note that capacity release is not
@@ -486,7 +560,6 @@ impl BatchedLink {
             return Ok(ServiceOutcome::pending());
         }
         self.last_call_stable = false;
-        stats.completions += 1;
         self.outgoing.push(self.data_ty.clamp(v));
         if wires.read_wire(self.pending_wire)? != Value::Bit(Bit::One) {
             wires.write_wire(self.pending_wire, Value::Bit(Bit::One))?;
@@ -505,12 +578,11 @@ impl BatchedLink {
         _caller: CallerId,
         _wires: &mut dyn WireStore,
     ) -> Result<ServiceOutcome, EvalError> {
-        let stats = self.stats.service_mut("get");
-        stats.calls += 1;
-        match self.delivered.pop_front() {
+        let popped = self.delivered.pop_front();
+        self.calls.bump(GET, popped.is_some());
+        match popped {
             Some(v) => {
                 self.last_call_stable = false;
-                stats.completions += 1;
                 Ok(ServiceOutcome::done_with(v))
             }
             None => {
@@ -577,9 +649,9 @@ impl BatchedLink {
             // The arbitration handshake; DATA holds the batch length
             // (fits INT16: max_batch is bounded by i16::MAX).
             let len = self.in_flight.len() as i64;
-            let out = self
-                .inner
-                .call(BUS_PRODUCER, "put", &[Value::Int(len)], wires)?;
+            let out =
+                self.inner
+                    .call_resolved(BUS_PRODUCER, self.bus_put, &[Value::Int(len)], wires)?;
             active = true;
             if out.done {
                 self.sending = false;
@@ -626,7 +698,9 @@ impl BatchedLink {
                 }
             }
         } else if !self.in_flight.is_empty() && !self.sending {
-            let out = self.inner.call(BUS_CONSUMER, "get", &[], wires)?;
+            let out = self
+                .inner
+                .call_resolved(BUS_CONSUMER, self.bus_get, &[], wires)?;
             active = true;
             if out.done {
                 match self.timing {
@@ -722,9 +796,16 @@ impl BatchedLink {
     /// reported as services).
     #[must_use]
     pub fn stats(&self) -> UnitStats {
+        let mut s = self.own_stats();
+        (s.controller_steps, s.controller_skips) = self.inner.controller_counts();
+        s
+    }
+
+    /// The link's own counters (services and batches), keyed by name —
+    /// the canonical captured form.
+    fn own_stats(&self) -> UnitStats {
         let mut s = self.stats.clone();
-        s.controller_steps = self.inner.stats().controller_steps;
-        s.controller_skips = self.inner.stats().controller_skips;
+        self.calls.export(SERVICES, &mut s.services);
         s
     }
 
@@ -744,7 +825,7 @@ impl BatchedLink {
             scheduled: self.scheduled,
             beat: self.beat,
             last_call_stable: self.last_call_stable,
-            stats: self.stats.clone(),
+            stats: self.own_stats(),
         }
     }
 
@@ -776,7 +857,19 @@ impl BatchedLink {
                 self.capacity
             )));
         }
+        let calls = self
+            .calls
+            .import(&state.stats.services, |n| {
+                SERVICES.iter().position(|s| *s == n)
+            })
+            .map_err(|name| {
+                EvalError::Service(format!(
+                    "batched link {}: snapshot stats for unknown service {name}",
+                    self.inner.spec().name()
+                ))
+            })?;
         self.inner.restore_state(&state.inner)?;
+        self.calls = calls;
         self.batch_target = state.batch_target;
         self.outgoing.clone_from(&state.outgoing);
         self.in_flight.clone_from(&state.in_flight);
@@ -788,6 +881,7 @@ impl BatchedLink {
         self.beat = state.beat;
         self.last_call_stable = state.last_call_stable;
         self.stats.clone_from(&state.stats);
+        self.stats.services.clear();
         Ok(())
     }
 }

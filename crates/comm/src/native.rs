@@ -7,7 +7,7 @@
 //! their behaviour is Rust code rather than an FSM, but they expose the
 //! same call interface as [`crate::FsmUnitRuntime`].
 
-use crate::runtime::{CallerId, ServiceStats, UnitStats};
+use crate::runtime::{CallerId, ServiceCounters, UnitStats};
 use cosma_core::{EvalError, ServiceOutcome, Type, Value};
 use std::collections::VecDeque;
 use std::fmt;
@@ -111,8 +111,9 @@ pub trait NativeUnit: fmt::Debug + Send {
         false
     }
 
-    /// Call statistics.
-    fn stats(&self) -> &UnitStats;
+    /// Call statistics, keyed by service name. Implementations may count
+    /// by service position and build this map only when it is read.
+    fn stats(&self) -> UnitStats;
 
     /// Captures the unit's mutable state as a [`NativeUnitState`] value
     /// bag, or `None` if this unit does not support checkpointing (the
@@ -145,13 +146,36 @@ pub trait NativeUnit: fmt::Debug + Send {
     }
 }
 
-fn bump(stats: &mut UnitStats, service: &str, done: bool) {
-    let s: &mut ServiceStats = stats.services.entry(service.to_string()).or_default();
-    s.calls += 1;
-    if done {
-        s.completions += 1;
-    }
+/// The name-keyed stats of a library native unit whose counters are
+/// kept by position in `names`.
+fn named_stats(calls: &ServiceCounters, names: &[&str]) -> UnitStats {
+    let mut stats = UnitStats::default();
+    calls.export(names.iter().copied(), &mut stats.services);
+    stats
 }
+
+/// Counters loaded from a captured bag's name-keyed stats rows.
+fn load_calls(
+    calls: &ServiceCounters,
+    state: &NativeUnitState,
+    names: &[&str],
+    unit: &str,
+) -> Result<ServiceCounters, EvalError> {
+    calls
+        .import(&state.stats.services, |n| {
+            names.iter().position(|s| *s == n)
+        })
+        .map_err(|name| {
+            EvalError::Service(format!("{unit}: snapshot stats for unknown service {name}"))
+        })
+}
+
+/// [`FifoChannel`] services, by counter position.
+const FIFO_SERVICES: [&str; 2] = ["put", "get"];
+/// [`Mailbox`] services, by counter position.
+const MAILBOX_SERVICES: [&str; 4] = ["send_a", "recv_a", "send_b", "recv_b"];
+/// [`SharedMemory`] services, by counter position.
+const SHMEM_SERVICES: [&str; 4] = ["acquire", "release", "load", "store"];
 
 /// A bounded FIFO channel: `put(v)` completes when space is available,
 /// `get() -> v` when data is available. Models an OS pipe / message
@@ -176,7 +200,8 @@ pub struct FifoChannel {
     name: String,
     capacity: usize,
     queue: VecDeque<Value>,
-    stats: UnitStats,
+    /// Call counters, by position in [`FIFO_SERVICES`].
+    calls: ServiceCounters,
     /// Whether the last call was a provable no-op (empty get, full put).
     stable: bool,
     /// Rejected puts (channel full) — failure-injection observability.
@@ -198,7 +223,7 @@ impl FifoChannel {
             name: name.into(),
             capacity,
             queue: VecDeque::new(),
-            stats: UnitStats::default(),
+            calls: ServiceCounters::new(FIFO_SERVICES.len()),
             stable: false,
             rejected_puts: 0,
             high_water: 0,
@@ -268,12 +293,12 @@ impl NativeUnit for FifoChannel {
                     self.queue.push_back(v.clone());
                     self.high_water = self.high_water.max(self.queue.len());
                     self.stable = false;
-                    bump(&mut self.stats, "put", true);
+                    self.calls.bump(0, true);
                     Ok(ServiceOutcome::done())
                 } else {
                     self.rejected_puts += 1;
                     self.stable = true;
-                    bump(&mut self.stats, "put", false);
+                    self.calls.bump(0, false);
                     Ok(ServiceOutcome::pending())
                 }
             }
@@ -284,12 +309,12 @@ impl NativeUnit for FifoChannel {
                 match self.queue.pop_front() {
                     Some(v) => {
                         self.stable = false;
-                        bump(&mut self.stats, "get", true);
+                        self.calls.bump(1, true);
                         Ok(ServiceOutcome::done_with(v))
                     }
                     None => {
                         self.stable = true;
-                        bump(&mut self.stats, "get", false);
+                        self.calls.bump(1, false);
                         Ok(ServiceOutcome::pending())
                     }
                 }
@@ -301,8 +326,8 @@ impl NativeUnit for FifoChannel {
         }
     }
 
-    fn stats(&self) -> &UnitStats {
-        &self.stats
+    fn stats(&self) -> UnitStats {
+        named_stats(&self.calls, &FIFO_SERVICES)
     }
 
     fn save_state(&self) -> Option<NativeUnitState> {
@@ -314,7 +339,7 @@ impl NativeUnit for FifoChannel {
             ],
             values: vec![],
             queues: vec![self.queue.iter().cloned().collect()],
-            stats: self.stats.clone(),
+            stats: self.stats(),
         })
     }
 
@@ -333,12 +358,13 @@ impl NativeUnit for FifoChannel {
                 self.capacity
             )));
         }
+        let calls = load_calls(&self.calls, state, &FIFO_SERVICES, &self.name)?;
         self.queue.clear();
         self.queue.extend(queue.iter().cloned());
         self.stable = *stable != 0;
         self.rejected_puts = *rejected as u64;
         self.high_water = *high_water as usize;
-        self.stats.clone_from(&state.stats);
+        self.calls = calls;
         Ok(())
     }
 
@@ -356,7 +382,8 @@ pub struct Mailbox {
     a_to_b: VecDeque<Value>,
     b_to_a: VecDeque<Value>,
     capacity: usize,
-    stats: UnitStats,
+    /// Call counters, by position in [`MAILBOX_SERVICES`].
+    calls: ServiceCounters,
     /// Whether the last call was a provable no-op (empty recv, full send).
     stable: bool,
 }
@@ -375,7 +402,7 @@ impl Mailbox {
             a_to_b: VecDeque::new(),
             b_to_a: VecDeque::new(),
             capacity,
-            stats: UnitStats::default(),
+            calls: ServiceCounters::new(MAILBOX_SERVICES.len()),
             stable: false,
         }
     }
@@ -443,11 +470,11 @@ impl NativeUnit for Mailbox {
         service: &str,
         args: &[Value],
     ) -> Result<ServiceOutcome, EvalError> {
-        let (queue, is_send) = match service {
-            "send_a" => (&mut self.a_to_b, true),
-            "recv_b" => (&mut self.a_to_b, false),
-            "send_b" => (&mut self.b_to_a, true),
-            "recv_a" => (&mut self.b_to_a, false),
+        let (queue, is_send, idx) = match service {
+            "send_a" => (&mut self.a_to_b, true, 0),
+            "recv_a" => (&mut self.b_to_a, false, 1),
+            "send_b" => (&mut self.b_to_a, true, 2),
+            "recv_b" => (&mut self.a_to_b, false, 3),
             other => {
                 return Err(EvalError::Service(format!(
                     "mailbox {} has no service {other}",
@@ -462,11 +489,11 @@ impl NativeUnit for Mailbox {
             if queue.len() < self.capacity {
                 queue.push_back(v.clone());
                 self.stable = false;
-                bump(&mut self.stats, service, true);
+                self.calls.bump(idx, true);
                 Ok(ServiceOutcome::done())
             } else {
                 self.stable = true;
-                bump(&mut self.stats, service, false);
+                self.calls.bump(idx, false);
                 Ok(ServiceOutcome::pending())
             }
         } else {
@@ -478,20 +505,20 @@ impl NativeUnit for Mailbox {
             match queue.pop_front() {
                 Some(v) => {
                     self.stable = false;
-                    bump(&mut self.stats, service, true);
+                    self.calls.bump(idx, true);
                     Ok(ServiceOutcome::done_with(v))
                 }
                 None => {
                     self.stable = true;
-                    bump(&mut self.stats, service, false);
+                    self.calls.bump(idx, false);
                     Ok(ServiceOutcome::pending())
                 }
             }
         }
     }
 
-    fn stats(&self) -> &UnitStats {
-        &self.stats
+    fn stats(&self) -> UnitStats {
+        named_stats(&self.calls, &MAILBOX_SERVICES)
     }
 
     fn save_state(&self) -> Option<NativeUnitState> {
@@ -502,7 +529,7 @@ impl NativeUnit for Mailbox {
                 self.a_to_b.iter().cloned().collect(),
                 self.b_to_a.iter().cloned().collect(),
             ],
-            stats: self.stats.clone(),
+            stats: self.stats(),
         })
     }
 
@@ -519,12 +546,13 @@ impl NativeUnit for Mailbox {
                 self.name, self.capacity
             )));
         }
+        let calls = load_calls(&self.calls, state, &MAILBOX_SERVICES, &self.name)?;
         self.a_to_b.clear();
         self.a_to_b.extend(a_to_b.iter().cloned());
         self.b_to_a.clear();
         self.b_to_a.extend(b_to_a.iter().cloned());
         self.stable = *stable != 0;
-        self.stats.clone_from(&state.stats);
+        self.calls = calls;
         Ok(())
     }
 
@@ -540,7 +568,8 @@ pub struct SharedMemory {
     name: String,
     cells: Vec<Value>,
     holder: Option<CallerId>,
-    stats: UnitStats,
+    /// Call counters, by position in [`SHMEM_SERVICES`].
+    calls: ServiceCounters,
     /// Accesses performed without holding the lock (race detector).
     pub unlocked_accesses: u64,
 }
@@ -558,7 +587,7 @@ impl SharedMemory {
             name: name.into(),
             cells: vec![Value::Int(0); size],
             holder: None,
-            stats: UnitStats::default(),
+            calls: ServiceCounters::new(SHMEM_SERVICES.len()),
             unlocked_accesses: 0,
         }
     }
@@ -619,15 +648,15 @@ impl NativeUnit for SharedMemory {
             "acquire" => match self.holder {
                 None => {
                     self.holder = Some(caller);
-                    bump(&mut self.stats, service, true);
+                    self.calls.bump(0, true);
                     Ok(ServiceOutcome::done())
                 }
                 Some(h) if h == caller => {
-                    bump(&mut self.stats, service, true);
+                    self.calls.bump(0, true);
                     Ok(ServiceOutcome::done())
                 }
                 Some(_) => {
-                    bump(&mut self.stats, service, false);
+                    self.calls.bump(0, false);
                     Ok(ServiceOutcome::pending())
                 }
             },
@@ -635,7 +664,7 @@ impl NativeUnit for SharedMemory {
                 if self.holder == Some(caller) {
                     self.holder = None;
                 }
-                bump(&mut self.stats, service, true);
+                self.calls.bump(1, true);
                 Ok(ServiceOutcome::done())
             }
             "load" => {
@@ -646,7 +675,7 @@ impl NativeUnit for SharedMemory {
                     self.unlocked_accesses += 1;
                 }
                 let a = self.addr_of(addr)?;
-                bump(&mut self.stats, service, true);
+                self.calls.bump(2, true);
                 Ok(ServiceOutcome::done_with(self.cells[a].clone()))
             }
             "store" => {
@@ -658,7 +687,7 @@ impl NativeUnit for SharedMemory {
                 }
                 let a = self.addr_of(addr)?;
                 self.cells[a] = v.clone();
-                bump(&mut self.stats, service, true);
+                self.calls.bump(3, true);
                 Ok(ServiceOutcome::done())
             }
             other => Err(EvalError::Service(format!(
@@ -668,8 +697,8 @@ impl NativeUnit for SharedMemory {
         }
     }
 
-    fn stats(&self) -> &UnitStats {
-        &self.stats
+    fn stats(&self) -> UnitStats {
+        named_stats(&self.calls, &SHMEM_SERVICES)
     }
 
     fn save_state(&self) -> Option<NativeUnitState> {
@@ -682,7 +711,7 @@ impl NativeUnit for SharedMemory {
             ],
             values: self.cells.clone(),
             queues: vec![],
-            stats: self.stats.clone(),
+            stats: self.stats(),
         })
     }
 
@@ -701,10 +730,11 @@ impl NativeUnit for SharedMemory {
                 self.cells.len()
             )));
         }
+        let calls = load_calls(&self.calls, state, &SHMEM_SERVICES, &self.name)?;
         self.cells.clone_from(&state.values);
         self.holder = (has_holder != 0).then_some(CallerId(holder_bits as u64));
         self.unlocked_accesses = unlocked as u64;
-        self.stats.clone_from(&state.stats);
+        self.calls = calls;
         Ok(())
     }
 

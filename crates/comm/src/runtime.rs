@@ -234,10 +234,15 @@ pub struct ServiceStats {
     pub completions: u64,
 }
 
-/// Statistics of a unit instance.
+/// Statistics of a unit instance, as read by callers.
+///
+/// Units count per service by service position on the activation path
+/// and build this name-keyed form only when it is read (`stats()`) or
+/// captured into a checkpoint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UnitStats {
-    /// Per-service stats, keyed by service name.
+    /// Per-service stats, keyed by canonical service name. A service
+    /// appears once it has been called.
     pub services: HashMap<String, ServiceStats>,
     /// Controller activations.
     pub controller_steps: u64,
@@ -281,18 +286,57 @@ impl UnitStats {
         }
         self.batch_len_hist[bucket] += 1;
     }
+}
 
-    /// Mutable access to a service's stats row, allocating the map key
-    /// only on first use — hot paths (one bump per call) pay a lookup
-    /// but never a malloc once the row exists.
-    pub(crate) fn service_mut(&mut self, name: &str) -> &mut ServiceStats {
-        if !self.services.contains_key(name) {
-            self.services
-                .insert(name.to_string(), ServiceStats::default());
+/// Per-service call counters indexed by service position: the
+/// activation-path form of [`UnitStats::services`]. A call bumps one
+/// row by index; the name-keyed map is built only when stats are read
+/// or captured.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ServiceCounters(Vec<ServiceStats>);
+
+impl ServiceCounters {
+    /// Zeroed counters for `n` services.
+    pub(crate) fn new(n: usize) -> Self {
+        ServiceCounters(vec![ServiceStats::default(); n])
+    }
+
+    /// Counts one activation of service `idx`.
+    pub(crate) fn bump(&mut self, idx: usize, done: bool) {
+        let row = &mut self.0[idx];
+        row.calls += 1;
+        if done {
+            row.completions += 1;
         }
-        self.services
-            .get_mut(name)
-            .expect("service stats row just ensured")
+    }
+
+    /// Writes the row of every service called so far into `out`, keyed
+    /// by `names` (parallel to the service positions).
+    pub(crate) fn export<'a>(
+        &self,
+        names: impl IntoIterator<Item = &'a str>,
+        out: &mut HashMap<String, ServiceStats>,
+    ) {
+        for (row, name) in self.0.iter().zip(names) {
+            if row.calls > 0 {
+                out.insert(name.to_string(), *row);
+            }
+        }
+    }
+
+    /// Counters loaded from name-keyed rows, resolving each name with
+    /// `index`. Returns the first name `index` does not know.
+    pub(crate) fn import(
+        &self,
+        rows: &HashMap<String, ServiceStats>,
+        index: impl Fn(&str) -> Option<usize>,
+    ) -> Result<Self, String> {
+        let mut out = ServiceCounters::new(self.0.len());
+        for (name, row) in rows {
+            let idx = index(name).ok_or_else(|| name.clone())?;
+            out.0[idx] = *row;
+        }
+        Ok(out)
     }
 }
 
@@ -404,11 +448,17 @@ impl Env for SessionEnv<'_> {
 pub struct FsmUnitRuntime {
     spec: Arc<CommUnitSpec>,
     controller: Option<(FsmExec, Vec<Value>)>,
-    /// Interned service names, parallel to `spec.services()`. Session
-    /// keys clone these `Arc`s (a refcount bump), so a call allocates
-    /// no `String` key.
-    interned: Vec<Arc<str>>,
-    sessions: HashMap<(CallerId, Arc<str>), Session>,
+    /// Service names, parallel to `spec.services()`: the keys of the
+    /// canonical captured state ([`FsmUnitState`]).
+    names: Vec<Arc<str>>,
+    /// Live sessions per service position, each list sorted by caller.
+    /// A unit has few callers per service, so a call finds its session
+    /// by binary search without hashing.
+    sessions: Vec<Vec<(CallerId, Session)>>,
+    /// Per-service call counters, by service position.
+    calls: ServiceCounters,
+    /// Controller counters; its `services` map stays empty (rows live
+    /// in `calls` and are merged in by [`FsmUnitRuntime::stats`]).
     stats: UnitStats,
     /// Whether the last controller step provably changed nothing (same
     /// state, same vars, zero wire writes). While true, re-stepping with
@@ -427,7 +477,7 @@ impl fmt::Debug for FsmUnitRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FsmUnitRuntime")
             .field("spec", &self.spec.name())
-            .field("sessions", &self.sessions.len())
+            .field("sessions", &self.session_count())
             .finish_non_exhaustive()
     }
 }
@@ -442,16 +492,17 @@ impl FsmUnitRuntime {
                 c.vars.iter().map(|v| v.init().clone()).collect(),
             )
         });
-        let interned = spec
+        let names: Vec<Arc<str>> = spec
             .services()
             .iter()
             .map(|s| Arc::<str>::from(s.name()))
             .collect();
         FsmUnitRuntime {
-            spec,
             controller,
-            interned,
-            sessions: HashMap::new(),
+            sessions: names.iter().map(|_| Vec::new()).collect(),
+            calls: ServiceCounters::new(names.len()),
+            names,
+            spec,
             stats: UnitStats::default(),
             ctrl_stable: false,
             last_call_stable: false,
@@ -464,16 +515,36 @@ impl FsmUnitRuntime {
         &self.spec
     }
 
-    /// Resolves a service name to its index in `spec.services()` (and
-    /// the parallel `interned` table) via the spec's own
-    /// exact-then-case-insensitive lookup, so VHDL-style upper-cased
-    /// callers share the session (and stats row) of the canonical name
-    /// instead of forking one keyed by their spelling.
-    fn resolve(&self, service: &str) -> Option<usize> {
-        self.spec.service_index(service)
+    /// Resolves a call of `service` with `arity` arguments to the
+    /// service's position in `spec().services()`, the handle
+    /// [`FsmUnitRuntime::call_resolved`] takes. Names resolve through
+    /// the spec's exact-then-case-insensitive lookup, so a VHDL-style
+    /// upper-cased caller shares the session and stats row of the
+    /// canonical name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::Service`] for unknown services or arity
+    /// mismatches, naming the service as the caller spelled it.
+    pub fn resolve(&self, service: &str, arity: usize) -> Result<usize, EvalError> {
+        let Some(idx) = self.spec.service_index(service) else {
+            return Err(EvalError::Service(format!(
+                "unit {} has no service {service}",
+                self.spec.name()
+            )));
+        };
+        let expects = self.spec.services()[idx].args().len();
+        if expects != arity {
+            return Err(EvalError::Service(format!(
+                "service {service} expects {expects} argument(s), got {arity}"
+            )));
+        }
+        Ok(idx)
     }
 
-    /// Activates one step of `service` on behalf of `caller`.
+    /// Activates one step of `service` on behalf of `caller`: resolves
+    /// the name ([`FsmUnitRuntime::resolve`]) and delegates to
+    /// [`FsmUnitRuntime::call_resolved`].
     ///
     /// Returns `done = true` exactly once per completed protocol run; the
     /// session then resets for the next transaction.
@@ -489,35 +560,59 @@ impl FsmUnitRuntime {
         args: &[Value],
         wires: &mut dyn WireStore,
     ) -> Result<ServiceOutcome, EvalError> {
-        let Some(idx) = self.resolve(service) else {
+        let idx = self.resolve(service, args.len())?;
+        self.call_resolved(caller, idx, args, wires)
+    }
+
+    /// Activates one step of the service at position `service` (from
+    /// [`FsmUnitRuntime::resolve`]) on behalf of `caller`. The
+    /// activation path of bound callers: no name lookup, no hashing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::Service`] for a position past the spec's
+    /// services or an arity mismatch, and propagates
+    /// expression-evaluation errors.
+    pub fn call_resolved(
+        &mut self,
+        caller: CallerId,
+        service: usize,
+        args: &[Value],
+        wires: &mut dyn WireStore,
+    ) -> Result<ServiceOutcome, EvalError> {
+        let Some(svc) = self.spec.services().get(service) else {
             return Err(EvalError::Service(format!(
-                "unit {} has no service {service}",
+                "unit {} has no service #{service}",
                 self.spec.name()
             )));
         };
-        let spec = Arc::clone(&self.spec);
-        let svc = &spec.services()[idx];
         if svc.args().len() != args.len() {
             return Err(EvalError::Service(format!(
-                "service {service} expects {} argument(s), got {}",
+                "service {} expects {} argument(s), got {}",
+                svc.name(),
                 svc.args().len(),
                 args.len()
             )));
         }
-        let key = (caller, Arc::clone(&self.interned[idx]));
-        let session = self.sessions.entry(key).or_insert_with(|| Session {
-            exec: FsmExec::new(svc.fsm()),
-            locals: svc.locals().iter().map(|v| v.init().clone()).collect(),
-        });
+        // Disjoint field borrows: the spec stays borrowed (`svc`) while
+        // the session table is mutated.
+        let list = &mut self.sessions[service];
+        let pos = match list.binary_search_by_key(&caller, |(c, _)| *c) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                let session = Session {
+                    exec: FsmExec::new(svc.fsm()),
+                    locals: svc.locals().iter().map(|v| v.init().clone()).collect(),
+                };
+                list.insert(pos, (caller, session));
+                pos
+            }
+        };
+        let session = &mut list[pos].1;
         let (outcome, stable) = step_session(svc, session, args, wires)?;
         self.last_call_stable = stable;
-        // Stats rows key by the canonical service name too, so a
-        // case-insensitive spelling feeds the same row as the session
-        // it advances.
-        let stats = self.stats.service_mut(svc.name());
-        stats.calls += 1;
+        self.calls.bump(service, outcome.done);
         if outcome.done {
-            stats.completions += 1;
             // Reset the session for the next transaction, reusing the
             // locals buffer in place.
             session.exec = FsmExec::new(svc.fsm());
@@ -596,10 +691,25 @@ impl FsmUnitRuntime {
         Ok(true)
     }
 
-    /// Call/completion statistics.
+    /// Call/completion statistics, keyed by canonical service name
+    /// (built on each read).
     #[must_use]
-    pub fn stats(&self) -> &UnitStats {
-        &self.stats
+    pub fn stats(&self) -> UnitStats {
+        let mut stats = self.stats.clone();
+        self.calls
+            .export(self.names.iter().map(|n| &**n), &mut stats.services);
+        stats
+    }
+
+    /// Controller steps and skips so far (the scalar part of
+    /// [`FsmUnitRuntime::stats`], without building the service map).
+    pub(crate) fn controller_counts(&self) -> (u64, u64) {
+        (self.stats.controller_steps, self.stats.controller_skips)
+    }
+
+    /// Number of live protocol sessions across all services.
+    fn session_count(&self) -> usize {
+        self.sessions.iter().map(Vec::len).sum()
     }
 
     /// Whether the last controller step was provably a no-op — while
@@ -648,30 +758,35 @@ impl FsmUnitRuntime {
 
     /// Drops a caller's session for a service (e.g. on module reset).
     pub fn reset_session(&mut self, caller: CallerId, service: &str) {
-        if let Some(idx) = self.resolve(service) {
-            let key = (caller, Arc::clone(&self.interned[idx]));
-            self.sessions.remove(&key);
+        if let Some(idx) = self.spec.service_index(service) {
+            let list = &mut self.sessions[idx];
+            if let Ok(pos) = list.binary_search_by_key(&caller, |(c, _)| *c) {
+                list.remove(pos);
+            }
         }
     }
 
     /// Captures all mutable runtime state into a canonical
     /// [`FsmUnitState`]: controller executor + vars, every live session
-    /// (sorted by caller and service), statistics, and the two
-    /// stability flags. The immutable spec is not captured.
+    /// (sorted by caller and service name), name-keyed statistics, and
+    /// the two stability flags. The immutable spec is not captured.
     #[must_use]
     pub fn capture_state(&self) -> FsmUnitState {
         let mut sessions: Vec<(CallerId, Arc<str>, FsmExec, Vec<Value>)> = self
             .sessions
             .iter()
-            .map(|((caller, name), s)| {
-                (*caller, Arc::clone(name), s.exec.clone(), s.locals.clone())
+            .zip(&self.names)
+            .flat_map(|(list, name)| {
+                list.iter().map(move |(caller, s)| {
+                    (*caller, Arc::clone(name), s.exec.clone(), s.locals.clone())
+                })
             })
             .collect();
         sessions.sort_by(|a, b| (a.0, a.1.as_ref()).cmp(&(b.0, b.1.as_ref())));
         FsmUnitState {
             controller: self.controller.clone(),
             sessions,
-            stats: self.stats.clone(),
+            stats: self.stats(),
             ctrl_stable: self.ctrl_stable,
             last_call_stable: self.last_call_stable,
         }
@@ -679,9 +794,9 @@ impl FsmUnitRuntime {
 
     /// Restores a previously captured [`FsmUnitState`]. The target must
     /// be built from the same spec (or one declaring the same services
-    /// and controller); session keys are re-interned against this
-    /// runtime's own name table, so a capture taken from one instance
-    /// restores into another.
+    /// and controller); session keys and stats rows are resolved against
+    /// this runtime's own service table, so a capture taken from one
+    /// instance restores into another.
     ///
     /// # Errors
     ///
@@ -695,25 +810,36 @@ impl FsmUnitRuntime {
                 self.spec.name()
             )));
         }
-        let mut sessions = HashMap::with_capacity(state.sessions.len());
+        let unknown = |name: &str| {
+            EvalError::Service(format!(
+                "unit {}: snapshot session for unknown service {name}",
+                self.spec.name()
+            ))
+        };
+        let mut sessions: Vec<Vec<(CallerId, Session)>> =
+            self.names.iter().map(|_| Vec::new()).collect();
         for (caller, name, exec, locals) in &state.sessions {
-            let idx = self.resolve(name).ok_or_else(|| {
-                EvalError::Service(format!(
-                    "unit {}: snapshot session for unknown service {name}",
-                    self.spec.name()
-                ))
-            })?;
-            sessions.insert(
-                (*caller, Arc::clone(&self.interned[idx])),
+            let idx = self.spec.service_index(name).ok_or_else(|| unknown(name))?;
+            sessions[idx].push((
+                *caller,
                 Session {
                     exec: exec.clone(),
                     locals: locals.clone(),
                 },
-            );
+            ));
         }
+        for list in &mut sessions {
+            list.sort_by_key(|(c, _)| *c);
+        }
+        let calls = self
+            .calls
+            .import(&state.stats.services, |n| self.spec.service_index(n))
+            .map_err(|name| unknown(&name))?;
         self.sessions = sessions;
+        self.calls = calls;
         self.controller.clone_from(&state.controller);
         self.stats.clone_from(&state.stats);
+        self.stats.services.clear();
         self.ctrl_stable = state.ctrl_stable;
         self.last_call_stable = state.last_call_stable;
         Ok(())
@@ -759,7 +885,7 @@ mod tests {
             .unwrap();
         assert_eq!(unit.stats().services["put"].calls, 2);
         assert_eq!(unit.stats().services["put"].completions, 0);
-        assert_eq!(unit.sessions.len(), 2);
+        assert_eq!(unit.session_count(), 2);
     }
 
     #[test]
@@ -795,19 +921,19 @@ mod tests {
 
     #[test]
     fn sessions_key_by_interned_name() {
-        // The session map is keyed by (CallerId, Arc<str>) cloned from
-        // the spec's interned service names — so a case-insensitive
-        // spelling (the VHDL-caller path) resolves to the SAME session
-        // instead of forking a duplicate keyed by the caller's string.
+        // Sessions are kept by service position, resolved through the
+        // spec's exact-then-case-insensitive lookup — so a
+        // case-insensitive spelling (the VHDL-caller path) resolves to
+        // the SAME session instead of forking one for its spelling.
         let spec = handshake_unit("hs", Type::INT16);
         let mut unit = FsmUnitRuntime::new(spec.clone());
         let mut wires = LocalWires::new(&spec);
         let p = CallerId(1);
         unit.call(p, "put", &[Value::Int(1)], &mut wires).unwrap();
-        assert_eq!(unit.sessions.len(), 1);
+        assert_eq!(unit.session_count(), 1);
         unit.call(p, "PUT", &[Value::Int(1)], &mut wires).unwrap();
         assert_eq!(
-            unit.sessions.len(),
+            unit.session_count(),
             1,
             "upper-cased spelling advances the same session"
         );
@@ -822,7 +948,7 @@ mod tests {
         );
         // reset_session drops it regardless of spelling.
         unit.reset_session(p, "Put");
-        assert_eq!(unit.sessions.len(), 0);
+        assert_eq!(unit.session_count(), 0);
     }
 
     #[test]
@@ -833,7 +959,7 @@ mod tests {
         let p = CallerId(1);
         unit.call(p, "put", &[Value::Int(1)], &mut wires).unwrap();
         unit.reset_session(p, "put");
-        assert_eq!(unit.sessions.len(), 0);
+        assert_eq!(unit.session_count(), 0);
     }
 
     #[test]
@@ -959,7 +1085,7 @@ mod tests {
             log
         };
         let first = run(&mut unit, &mut wires);
-        let end_stats = unit.stats().clone();
+        let end_stats = unit.stats();
         assert!(
             first.iter().any(|(pd, gd, _)| *pd && *gd),
             "the handshake completed during the continuation"
@@ -978,7 +1104,7 @@ mod tests {
         );
         let second = run(&mut twin, &mut twin_wires);
         assert_eq!(second, first, "replay is outcome-identical");
-        assert_eq!(twin.stats(), &end_stats);
+        assert_eq!(twin.stats(), end_stats);
 
         // A spec that doesn't declare the captured services refuses the
         // snapshot and is left untouched.

@@ -142,8 +142,8 @@ impl StandaloneUnit {
     #[must_use]
     pub fn stats(&self) -> UnitStats {
         match &self.inner {
-            Inner::Fsm(f) => f.runtime.stats().clone(),
-            Inner::Native(unit) => unit.stats().clone(),
+            Inner::Fsm(f) => f.runtime.stats(),
+            Inner::Native(unit) => unit.stats(),
         }
     }
 

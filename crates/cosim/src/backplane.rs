@@ -44,13 +44,13 @@
 //! * Batched bus links ([`Cosim::add_batched_unit`]) coalesce per-value
 //!   transfers into one wire handshake per (adaptively sized) batch.
 
-use crate::trace::TraceLog;
+use crate::trace::{TraceLog, TraceName};
 use cosma_comm::{
     BatchedLink, BatchedLinkState, BusTiming, CallerId, FsmUnitRuntime, FsmUnitState, NativeUnit,
     NativeUnitState, UnitStats, WireStore,
 };
 use cosma_core::comm::CommUnitSpec;
-use cosma_core::ids::{PortId, VarId};
+use cosma_core::ids::{BindingId, PortId, VarId};
 use cosma_core::{
     Env, EvalError, FsmExec, Module, ModuleKind, ReadEnv, ServiceCall, ServiceOutcome, Type, Value,
 };
@@ -339,7 +339,7 @@ impl Default for CosimConfig {
 /// versus the base. Units and modules are placed into a domain with the
 /// `*_in` constructors ([`Cosim::add_fsm_unit_in`],
 /// [`Cosim::add_module_in`], ...); the domain decides which activation
-/// clock pair drives them and which [`ClockDemand`] ledger accounts for
+/// clock pair drives them and which clock-demand ledger accounts for
 /// their parking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DomainId(usize);
@@ -408,10 +408,10 @@ struct FsmUnitEntry {
     name: String,
     runtime: FsmUnitRuntime,
     wires: Vec<SignalId>,
-    /// Per-service completion wires (the blocked protocol's read-set,
-    /// mapped onto kernel signals): the wires whose events can unblock
-    /// a pending caller, precomputed at registration.
-    completion: HashMap<String, Vec<SignalId>>,
+    /// Completion wires by service position (the blocked protocol's
+    /// read-set, mapped onto kernel signals): the wires whose events
+    /// can unblock a pending caller, precomputed at registration.
+    completion: Vec<Vec<SignalId>>,
 }
 
 struct BatchedUnitEntry {
@@ -421,8 +421,9 @@ struct BatchedUnitEntry {
     /// One HW clock cycle — the scheduling unit for the link's
     /// pre-scheduled payload bursts ([`WireStore::write_wire_after`]).
     cycle: Duration,
-    /// Per-service completion wires (see [`FsmUnitEntry::completion`]).
-    completion: HashMap<String, Vec<SignalId>>,
+    /// Completion wires by service position (see
+    /// [`FsmUnitEntry::completion`]).
+    completion: Vec<Vec<SignalId>>,
 }
 
 struct NativeEntry {
@@ -470,6 +471,66 @@ enum Handle {
     Batched(usize),
 }
 
+/// One service call site of a module, keyed by its `(binding,
+/// service)` pair and resolved once, when the module is added: the
+/// multi-view library's bind-time linking of an access procedure to
+/// its communication unit. Activations index what was resolved.
+struct CallSite {
+    binding: BindingId,
+    /// The service as the call spells it (the lookup key).
+    service: Arc<str>,
+    target: SiteTarget,
+}
+
+impl CallSite {
+    /// Whether `call` goes through this site: same binding and service
+    /// spelling. The call's `Arc` is normally the one the site was
+    /// built from, so the pointer compare decides.
+    fn matches(&self, call: &ServiceCall) -> bool {
+        self.binding == call.binding
+            && (Arc::ptr_eq(&self.service, &call.service) || self.service == call.service)
+    }
+}
+
+/// What a call site resolved to.
+enum SiteTarget {
+    /// An FSM unit's service, by position in its spec.
+    Fsm { unit: usize, service: usize },
+    /// A batched link's service, by position (`put` 0, `get` 1).
+    Batched { unit: usize, service: usize },
+    /// A native unit. Its services are Rust code and take the name.
+    Native { unit: usize },
+    /// A call that cannot succeed (unknown service, wrong arity, no
+    /// unit on the binding): every activation of it fails with this
+    /// error, the one the unit's name-taking entry point reports.
+    Failed(EvalError),
+}
+
+/// A module's trace names: its source and the labels of its trace
+/// statements, each resolved against the trace log on first use and
+/// by cached id after that ([`TraceLog::resolve`]).
+struct ModuleTraceNames {
+    source: TraceName,
+    /// Keyed by the statement's label `Arc` (pointer identity).
+    labels: Vec<(Arc<str>, TraceName)>,
+}
+
+impl ModuleTraceNames {
+    /// The cached name of a trace statement's label, added on first
+    /// sight.
+    fn label(&mut self, label: &Arc<str>) -> &mut TraceName {
+        let slot = match self.labels.iter().position(|(k, _)| Arc::ptr_eq(k, label)) {
+            Some(slot) => slot,
+            None => {
+                self.labels
+                    .push((Arc::clone(label), TraceName::new(Arc::clone(label))));
+                self.labels.len() - 1
+            }
+        };
+        &mut self.labels[slot].1
+    }
+}
+
 /// Everything the backplane knows about one module instance. Owned by
 /// the shared module table so both scheduler paths (per-module process,
 /// module driver) step modules through the same code.
@@ -480,7 +541,9 @@ struct ModuleEntry {
     ports: Vec<SignalId>,
     vars: Vec<Value>,
     var_tys: Vec<Type>,
-    bindings: Vec<Handle>,
+    /// Every call site of the module's FSM, resolved at add time.
+    sites: Vec<CallSite>,
+    trace_names: ModuleTraceNames,
     caller: CallerId,
     status: ModuleStatus,
 }
@@ -670,10 +733,12 @@ struct CosimEnv<'a, 'b> {
     vars: &'a mut [Value],
     var_tys: &'a [Type],
     registry: &'a RefCell<Registry>,
-    bindings: &'a [Handle],
+    sites: &'a [CallSite],
     caller: CallerId,
     trace: &'a RefCell<TraceLog>,
-    source: &'a str,
+    /// The module's name, for error messages.
+    name: &'a str,
+    trace_names: &'a mut ModuleTraceNames,
     /// Effective changes this activation: variable writes that changed
     /// a value, port drives that differ from the signal's current
     /// value, trace records, completed service calls. Zero means the
@@ -685,31 +750,6 @@ struct CosimEnv<'a, 'b> {
     pending_stable: bool,
     /// Completion wires of the pending calls (what to watch if parked).
     pending_watch: Vec<SignalId>,
-}
-
-impl CosimEnv<'_, '_> {
-    /// Shared post-call bookkeeping: a completed call is an effective
-    /// change; a pending one contributes to the park verdict (parkable
-    /// only if the unit proved the call a no-op AND names completion
-    /// wires that can wake the caller).
-    fn note_outcome(&mut self, handle: Handle, service: &str, done: bool, stable: bool) {
-        if done {
-            self.changes += 1;
-            return;
-        }
-        let reg = self.registry.borrow();
-        let comp = match handle {
-            Handle::Fsm(i) => reg.fsm[i].completion.get(service),
-            Handle::Batched(i) => reg.batched[i].completion.get(service),
-            Handle::Native(i) => Some(&reg.native[i].completion),
-        };
-        match comp {
-            Some(ws) if stable && !ws.is_empty() => {
-                self.pending_watch.extend_from_slice(ws);
-            }
-            _ => self.pending_stable = false,
-        }
-    }
 }
 
 impl ReadEnv for CosimEnv<'_, '_> {
@@ -758,66 +798,121 @@ impl Env for CosimEnv<'_, '_> {
         call: &ServiceCall,
         args: &[Value],
     ) -> Result<ServiceOutcome, EvalError> {
-        let Some(&handle) = self.bindings.get(call.binding.index()) else {
-            return Err(EvalError::Service(format!(
-                "module {} has no unit attached to binding {}",
-                self.source, call.binding
-            )));
+        let Some(site) = self.sites.iter().find(|site| site.matches(call)) else {
+            return Err(unbound_call(self.name, call.binding));
         };
-        let (out, stable) = {
-            let mut reg = self.registry.borrow_mut();
-            match handle {
-                Handle::Fsm(i) => {
-                    let FsmUnitEntry { runtime, wires, .. } = &mut reg.fsm[i];
-                    let mut ws = CtxWires {
-                        ctx: self.ctx,
-                        map: wires,
-                        cycle: Duration::ZERO,
-                    };
-                    let out = runtime.call(self.caller, &call.service, args, &mut ws)?;
-                    let stable = runtime.last_call_stable();
-                    (out, stable)
-                }
-                Handle::Native(i) => {
-                    let entry = &mut reg.native[i];
-                    let out = entry
-                        .unit
-                        .call(self.caller, &call.service, args)
-                        .map_err(|e| {
-                            EvalError::Service(format!("native unit {}: {e}", entry.name))
-                        })?;
-                    sync_native_occ(entry, self.ctx);
-                    let stable = entry.unit.last_call_stable();
-                    (out, stable)
-                }
-                Handle::Batched(i) => {
-                    let BatchedUnitEntry { link, wires, .. } = &mut reg.batched[i];
-                    let mut ws = CtxWires {
-                        ctx: self.ctx,
-                        map: wires,
-                        cycle: Duration::ZERO,
-                    };
-                    let out = link.call(self.caller, &call.service, args, &mut ws)?;
-                    let stable = link.last_call_stable();
-                    (out, stable)
-                }
+        let registry = self.registry;
+        let mut reg = registry.borrow_mut();
+        let reg = &mut *reg;
+        let (out, stable, completion) = match &site.target {
+            &SiteTarget::Fsm { unit, service } => {
+                let FsmUnitEntry {
+                    runtime,
+                    wires,
+                    completion,
+                    ..
+                } = &mut reg.fsm[unit];
+                let mut ws = CtxWires {
+                    ctx: self.ctx,
+                    map: wires,
+                    cycle: Duration::ZERO,
+                };
+                let out = runtime.call_resolved(self.caller, service, args, &mut ws)?;
+                (out, runtime.last_call_stable(), &completion[service])
             }
+            &SiteTarget::Batched { unit, service } => {
+                let BatchedUnitEntry {
+                    link,
+                    wires,
+                    completion,
+                    ..
+                } = &mut reg.batched[unit];
+                let mut ws = CtxWires {
+                    ctx: self.ctx,
+                    map: wires,
+                    cycle: Duration::ZERO,
+                };
+                let out = link.call_resolved(self.caller, service, args, &mut ws)?;
+                (out, link.last_call_stable(), &completion[service])
+            }
+            &SiteTarget::Native { unit } => {
+                let entry = &mut reg.native[unit];
+                let out = entry
+                    .unit
+                    .call(self.caller, &call.service, args)
+                    .map_err(|e| EvalError::Service(format!("native unit {}: {e}", entry.name)))?;
+                sync_native_occ(entry, self.ctx);
+                (out, entry.unit.last_call_stable(), &entry.completion)
+            }
+            SiteTarget::Failed(e) => return Err(e.clone()),
         };
-        self.note_outcome(handle, &call.service, out.done, stable);
+        // A completed call is an effective change; a pending one is
+        // parkable only if the unit proved it a no-op AND names
+        // completion wires that can wake the caller.
+        if out.done {
+            self.changes += 1;
+        } else if stable && !completion.is_empty() {
+            self.pending_watch.extend_from_slice(completion);
+        } else {
+            self.pending_stable = false;
+        }
         Ok(out)
     }
     fn trace(&mut self, label: &str, values: &[Value]) {
         self.changes += 1;
-        self.trace
-            .borrow_mut()
-            .record(self.ctx.now().as_fs(), self.source, label, values);
+        let mut log = self.trace.borrow_mut();
+        let source = log.resolve(&mut self.trace_names.source);
+        let label = log.intern(label);
+        log.record_ids(self.ctx.now().as_fs(), source, label, values);
     }
     fn trace_interned(&mut self, label: &Arc<str>, values: &[Value]) {
         self.changes += 1;
-        self.trace
-            .borrow_mut()
-            .record_interned(self.ctx.now().as_fs(), self.source, label, values);
+        let mut log = self.trace.borrow_mut();
+        let source = log.resolve(&mut self.trace_names.source);
+        let label = log.resolve(self.trace_names.label(label));
+        log.record_ids(self.ctx.now().as_fs(), source, label, values);
     }
+}
+
+/// The error of a call through a binding no unit is attached to.
+fn unbound_call(module: &str, binding: BindingId) -> EvalError {
+    EvalError::Service(format!(
+        "module {module} has no unit attached to binding {binding}"
+    ))
+}
+
+/// Resolves every service call site of `module`, whose bindings map
+/// to `handles`, against the registry: the bind-time half of a call.
+/// Sites whose call cannot succeed resolve to the error the unit's
+/// name-taking entry point reports for them.
+fn resolve_call_sites(module: &Module, handles: &[Handle], reg: &Registry) -> Vec<CallSite> {
+    let mut sites: Vec<CallSite> = Vec::new();
+    module.fsm().for_each_stmt(&mut |stmt| {
+        stmt.for_each_call(&mut |call| {
+            if sites.iter().any(|site| site.matches(call)) {
+                return;
+            }
+            let arity = call.args.len();
+            let target = match handles.get(call.binding.index()) {
+                None => Err(unbound_call(module.name(), call.binding)),
+                Some(&Handle::Fsm(unit)) => reg.fsm[unit]
+                    .runtime
+                    .resolve(&call.service, arity)
+                    .map(|service| SiteTarget::Fsm { unit, service }),
+                Some(&Handle::Batched(unit)) => reg.batched[unit]
+                    .link
+                    .resolve(&call.service, arity)
+                    .map(|service| SiteTarget::Batched { unit, service }),
+                Some(&Handle::Native(unit)) => Ok(SiteTarget::Native { unit }),
+            };
+            sites.push(CallSite {
+                binding: call.binding,
+                service: Arc::clone(&call.service),
+                target: target.unwrap_or_else(SiteTarget::Failed),
+            });
+        });
+    });
+    sites
 }
 
 /// Errors from backplane assembly and runs.
@@ -876,7 +971,8 @@ fn step_module(
         ports,
         vars,
         var_tys,
-        bindings,
+        sites,
+        trace_names,
         caller,
         status,
     } = &mut modules[idx];
@@ -888,10 +984,11 @@ fn step_module(
         vars,
         var_tys,
         registry,
-        bindings,
+        sites,
         caller: *caller,
         trace,
-        source: name,
+        name,
+        trace_names,
         changes: 0,
         pending_stable: true,
         pending_watch: std::mem::take(&mut scratch.watch),
@@ -1986,19 +2083,16 @@ impl Cosim {
         let runtime = FsmUnitRuntime::new(spec);
         // Completion wires per service: the blocked protocol's read-set
         // mapped onto kernel signals (what a parked caller waits on).
-        let completion: HashMap<String, Vec<SignalId>> = runtime
+        let completion: Vec<Vec<SignalId>> = runtime
             .spec()
             .services()
             .iter()
             .map(|svc| {
-                (
-                    svc.name().to_string(),
-                    runtime
-                        .completion_signals(svc.name())
-                        .iter()
-                        .map(|p| wires[p.index()])
-                        .collect(),
-                )
+                runtime
+                    .completion_signals(svc.name())
+                    .iter()
+                    .map(|p| wires[p.index()])
+                    .collect()
             })
             .collect();
         let idx = {
@@ -2165,16 +2259,14 @@ impl Cosim {
                 )
             })
             .collect();
-        let completion: HashMap<String, Vec<SignalId>> = ["put", "get"]
+        // By service position: `put` 0, `get` 1.
+        let completion: Vec<Vec<SignalId>> = ["put", "get"]
             .iter()
             .map(|svc| {
-                (
-                    (*svc).to_string(),
-                    link.completion_signals(svc)
-                        .iter()
-                        .map(|p| wires[p.index()])
-                        .collect(),
-                )
+                link.completion_signals(svc)
+                    .iter()
+                    .map(|p| wires[p.index()])
+                    .collect()
             })
             .collect();
         // Activation gate and park watch: only the wires someone other
@@ -2616,6 +2708,7 @@ impl Cosim {
             }
         }
 
+        let sites = resolve_call_sites(module, &resolved, &self.registry.borrow());
         let idx = self.modules.borrow().len();
         let caller = CallerId(idx as u64);
         let clk = match module.kind() {
@@ -2639,7 +2732,11 @@ impl Cosim {
             ports,
             vars: module.vars().iter().map(|v| v.init().clone()).collect(),
             var_tys: module.vars().iter().map(|v| v.ty().clone()).collect(),
-            bindings: resolved,
+            sites,
+            trace_names: ModuleTraceNames {
+                source: TraceName::new(module.name()),
+                labels: Vec::new(),
+            },
             caller,
             status,
         });
@@ -2897,8 +2994,8 @@ impl Cosim {
         let id = self.unit_names.get(name)?;
         let reg = self.registry.borrow();
         match self.handles[id.0] {
-            Handle::Fsm(i) => Some(reg.fsm[i].runtime.stats().clone()),
-            Handle::Native(i) => Some(reg.native[i].unit.stats().clone()),
+            Handle::Fsm(i) => Some(reg.fsm[i].runtime.stats()),
+            Handle::Native(i) => Some(reg.native[i].unit.stats()),
             Handle::Batched(i) => Some(reg.batched[i].link.stats()),
         }
     }
@@ -3191,9 +3288,9 @@ impl Snapshot {
 /// state and *all* scheduler state. Scheduler state that process
 /// closures would naturally capture as locals (park flags, event-count
 /// gates, elaboration latches) is deliberately hoisted into shared
-/// cells owned by the [`ActivationScheduler`], so a snapshot reaches
-/// every bit that influences future behaviour — the precondition for
-/// bit-identical replay.
+/// cells owned by the backplane's activation scheduler, so a snapshot
+/// reaches every bit that influences future behaviour — the
+/// precondition for bit-identical replay.
 impl Cosim {
     /// Captures the complete mutable state of the backplane.
     ///
@@ -3612,6 +3709,11 @@ mod tests {
     }
 
     fn consumer(n: usize) -> Module {
+        consumer_spelled(n, "get")
+    }
+
+    /// [`consumer`] calling the get service under the given spelling.
+    fn consumer_spelled(n: usize, get_service: &str) -> Module {
         let mut c = ModuleBuilder::new("consumer", ModuleKind::Hardware);
         let done = c.var("D", Type::Bool, Value::Bool(false));
         let got = c.var("GOT", Type::INT16, Value::Int(0));
@@ -3624,7 +3726,7 @@ mod tests {
             get,
             vec![Stmt::Call(ServiceCall {
                 binding: b,
-                service: "get".into(),
+                service: get_service.into(),
                 args: vec![],
                 done: Some(done),
                 result: Some(got),
@@ -4144,6 +4246,98 @@ mod tests {
     }
 
     #[test]
+    fn restored_trace_matches_uninterrupted_run_despite_cached_ids() {
+        // Modules cache their trace ids against the log they recorded
+        // into. Restoring swaps in the snapshot's log, interner
+        // included, so those ids must re-resolve: here the target's
+        // cached ids are deliberately swapped (an external record
+        // interned the consumers' label before their source name), and
+        // the snapshots are taken before the first trace record and
+        // mid-run. The continued trace must equal an
+        // uninterrupted run's, entry for entry and byte for byte in the
+        // spill stream (both sinks attached at the snapshot time).
+        #[derive(Clone, Default)]
+        struct Sink(Rc<RefCell<Vec<u8>>>);
+        impl std::io::Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.borrow_mut().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let spill = |cosim: &Cosim| {
+            let sink = Sink::default();
+            cosim
+                .trace_handle()
+                .borrow_mut()
+                .set_spill(Box::new(sink.clone()));
+            sink
+        };
+        // Four producer/consumer pairs; consumers trace each value
+        // received, so the first record comes a few cycles in.
+        let build = || {
+            let mut cosim = Cosim::new(CosimConfig::default());
+            let values: Vec<i64> = (0..5_000).collect();
+            for k in 0..4 {
+                let link =
+                    cosim.add_fsm_unit(&format!("link{k}"), handshake_unit("hs", Type::INT16));
+                cosim
+                    .add_module(&producer(&values), &[("iface", link)])
+                    .unwrap();
+                cosim
+                    .add_module(&consumer(values.len()), &[("iface", link)])
+                    .unwrap();
+            }
+            cosim
+        };
+        const END_US: u64 = 400;
+        for t0_us in [0, 77] {
+            let mut reference = build();
+            reference.run_for(Duration::from_us(t0_us)).unwrap();
+            let want_bytes = spill(&reference);
+            reference
+                .run_for(Duration::from_us(END_US - t0_us))
+                .unwrap();
+
+            let mut source = build();
+            source.run_for(Duration::from_us(t0_us)).unwrap();
+            assert_eq!(
+                source.trace_log().is_empty(),
+                t0_us == 0,
+                "the early snapshot precedes the first trace record"
+            );
+            let snap = source.snapshot();
+
+            let mut target = build();
+            target
+                .trace_handle()
+                .borrow_mut()
+                .record(0, "recv", "consumer", [Value::Int(0)]);
+            target.run_for(Duration::from_us(130)).unwrap();
+            target.restore(&snap).unwrap();
+            let got_bytes = spill(&target);
+            target.run_for(Duration::from_us(END_US - t0_us)).unwrap();
+
+            let want = reference.trace_log();
+            let got = target.trace_log();
+            assert!(
+                want.spilled() > 0,
+                "the run must spill segments (t0 {t0_us} us)"
+            );
+            let cmp = got.compare(&want);
+            assert!(cmp.is_match(), "t0 {t0_us} us: {cmp}");
+            assert_eq!(got, want, "t0 {t0_us} us: sources and timestamps too");
+            assert_eq!(
+                *got_bytes.0.borrow(),
+                *want_bytes.0.borrow(),
+                "t0 {t0_us} us: identical spilled bytes"
+            );
+        }
+    }
+
+    #[test]
     fn native_unit_snapshot_restore_and_fork() {
         // The scenario-level replay property covers FSM and batched
         // links; this pins the same contract for a native (platform)
@@ -4216,8 +4410,8 @@ mod tests {
                     "opaque has no service {service}"
                 )))
             }
-            fn stats(&self) -> &cosma_comm::UnitStats {
-                &self.0
+            fn stats(&self) -> cosma_comm::UnitStats {
+                self.0.clone()
             }
         }
 
@@ -4338,40 +4532,43 @@ mod tests {
         }
     }
 
+    /// A producer that counts `delay` activations before it puts
+    /// `value` once.
+    fn delayed_producer(delay: i64, value: i64) -> Module {
+        let mut p = ModuleBuilder::new("latecomer", ModuleKind::Software);
+        let done = p.var("D", Type::Bool, Value::Bool(false));
+        let cnt = p.var("C", Type::INT16, Value::Int(0));
+        let b = p.binding("iface", "hs");
+        let wait = p.state("WAIT");
+        let put = p.state("PUT");
+        let end = p.state("END");
+        p.actions(
+            wait,
+            vec![Stmt::assign(cnt, Expr::var(cnt).add(Expr::int(1)))],
+        );
+        p.transition(wait, Some(Expr::var(cnt).ge(Expr::int(delay))), put);
+        p.transition(wait, None, wait);
+        p.actions(
+            put,
+            vec![Stmt::Call(ServiceCall {
+                binding: b,
+                service: "put".into(),
+                args: vec![Expr::int(value)],
+                done: Some(done),
+                result: None,
+            })],
+        );
+        p.transition(put, Some(Expr::var(done)), end);
+        p.transition(end, None, end);
+        p.initial(wait);
+        p.build().unwrap()
+    }
+
     #[test]
     fn blocked_consumer_parks_until_first_put() {
         // The headline regression: a consumer blocked on `get` against
         // an empty link records ZERO activations from the moment it
         // proves stable until the producer's first `put` lands.
-        fn delayed_producer(delay: i64, value: i64) -> Module {
-            let mut p = ModuleBuilder::new("latecomer", ModuleKind::Software);
-            let done = p.var("D", Type::Bool, Value::Bool(false));
-            let cnt = p.var("C", Type::INT16, Value::Int(0));
-            let b = p.binding("iface", "hs");
-            let wait = p.state("WAIT");
-            let put = p.state("PUT");
-            let end = p.state("END");
-            p.actions(
-                wait,
-                vec![Stmt::assign(cnt, Expr::var(cnt).add(Expr::int(1)))],
-            );
-            p.transition(wait, Some(Expr::var(cnt).ge(Expr::int(delay))), put);
-            p.transition(wait, None, wait);
-            p.actions(
-                put,
-                vec![Stmt::Call(ServiceCall {
-                    binding: b,
-                    service: "put".into(),
-                    args: vec![Expr::int(value)],
-                    done: Some(done),
-                    result: None,
-                })],
-            );
-            p.transition(put, Some(Expr::var(done)), end);
-            p.transition(end, None, end);
-            p.initial(wait);
-            p.build().unwrap()
-        }
         for cfg in [
             SchedulingConfig::sharded(),
             SchedulingConfig {
@@ -4424,6 +4621,47 @@ mod tests {
                 "real work resumed after the put ({cfg:?})"
             );
         }
+    }
+
+    #[test]
+    fn caller_spelling_does_not_change_parking() {
+        // A VHDL-style caller spells the service "GET" against a unit
+        // that declares "get". The call site resolves to the canonical
+        // service when the module is added, completion wires included,
+        // so the blocked caller parks after one activation exactly like
+        // the canonical spelling, and the runs end identically.
+        let run = |spelling: &str| {
+            let mut cosim = Cosim::new(CosimConfig::default());
+            let link = cosim.add_fsm_unit("link", handshake_unit("hs", Type::INT16));
+            cosim
+                .add_module(&delayed_producer(1_000, 77), &[("iface", link)])
+                .unwrap();
+            let cid = cosim
+                .add_module(&consumer_spelled(1, spelling), &[("iface", link)])
+                .unwrap();
+            // 50 us = ~500 cycles, all before the put at cycle 1000.
+            cosim.run_for(Duration::from_us(50)).unwrap();
+            let blocked = cosim.module_status(cid).activations;
+            cosim.run_for(Duration::from_us(70)).unwrap();
+            let st = cosim.module_status(cid);
+            assert_eq!(st.state, "END", "{spelling}");
+            let vars: Vec<_> = ["D", "GOT", "SUM", "N"]
+                .iter()
+                .map(|v| cosim.module_var(cid, v))
+                .collect();
+            (blocked, cosim.trace_log(), vars, cosim.unit_stats("link"))
+        };
+        let canonical = run("get");
+        let upper = run("GET");
+        assert_eq!(
+            canonical.0, 1,
+            "canonical caller parks after one activation"
+        );
+        assert_eq!(upper.0, 1, "upper-cased caller parks after one activation");
+        assert_eq!(upper.1, canonical.1, "identical traces");
+        assert!(upper.1.compare(&canonical.1).is_match());
+        assert_eq!(upper.2, canonical.2, "identical variables");
+        assert_eq!(upper.3, canonical.3, "one canonical stats row");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! in realistic shapes, without hand-writing hundreds of FSMs. A
 //! [`ScenarioSpec`] describes the shape — link count, [`Topology`],
 //! [`LinkKind`] (classic handshake or batched bus), traffic volume,
-//! clocking and [`UnitScheduling`] — and [`build_scenario`] elaborates it
+//! clocking and [`SchedulingConfig`] — and [`build_scenario`] elaborates it
 //! into a ready-to-run [`Scenario`] whose completion is mechanically
 //! checkable ([`Scenario::verify`]).
 //!

@@ -9,11 +9,15 @@
 //! allocation pair per entry. Instead:
 //!
 //! * **Interning** — every source and label string is interned once
-//!   into an `Arc<str>` table; entries store `u32` ids. Recording a
-//!   label that is already interned costs one hash lookup and zero
-//!   allocations. IR trace statements carry `Arc<str>` labels (shared
-//!   with the interner on first sight), so even the first occurrence
-//!   is a refcount bump, not a string copy.
+//!   into an `Arc<str>` table; entries store [`TraceId`]s. Recorders
+//!   that hold their strings as [`TraceName`]s resolve each one once
+//!   ([`TraceLog::resolve`]) and record by id
+//!   ([`TraceLog::record_ids`]): no hashing per entry. A `TraceName`
+//!   re-resolves only when the log it was resolved against has been
+//!   replaced (a backplane restore swaps in the snapshot's log), and
+//!   ids are assigned in first-use order either way, so the spilled
+//!   byte stream does not depend on when names were resolved.
+//!   [`TraceLog::record`] takes strings and pays two hash lookups.
 //! * **Segmented columnar storage** — entries live in fixed-arity
 //!   segments ([`SEG_ENTRIES`] records each); each segment carries one
 //!   shared `Value` pool that all of its entries' payloads are packed
@@ -89,6 +93,35 @@ impl TraceEntryRef<'_> {
     }
 }
 
+/// Id of an interned trace string: valid in the [`TraceLog`] that
+/// issued it and in every clone of that log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TraceId(u32);
+
+/// A trace source or label with its id cached against the log it was
+/// last resolved in ([`TraceLog::resolve`]).
+///
+/// The cache is checked, not trusted: it holds the interner's own
+/// `Arc` for the id, and stays valid exactly while the log maps that
+/// id to that same allocation — in the issuing log and its clones, but
+/// not in a log that was built separately. Cloning a `TraceName`
+/// clones the cache.
+#[derive(Debug, Clone)]
+pub(crate) struct TraceName {
+    text: Arc<str>,
+    id: Option<TraceId>,
+}
+
+impl TraceName {
+    /// An unresolved name.
+    pub(crate) fn new(text: impl Into<Arc<str>>) -> Self {
+        TraceName {
+            text: text.into(),
+            id: None,
+        }
+    }
+}
+
 /// String interner: id-stable `Arc<str>` table with a reverse map.
 #[derive(Debug, Clone, Default)]
 struct Interner {
@@ -158,8 +191,10 @@ impl Segment {
 }
 
 /// An ordered event log with interned strings and segmented columnar
-/// value storage (see the [module docs](self) for the layout and the
-/// interning contract).
+/// value storage. Entries hold the interned ids of their source and
+/// label, and payloads are packed into per-segment value pools. With a
+/// spill sink ([`TraceLog::set_spill`]) every full segment is encoded
+/// to the sink and its shell recycled.
 #[derive(Default)]
 pub struct TraceLog {
     interner: Interner,
@@ -186,10 +221,10 @@ impl TraceLog {
         Self::default()
     }
 
-    /// Appends an event. Steady-state cost: two interner hash lookups
-    /// plus POD/`Value` appends into pre-grown segment vectors — no
-    /// allocation once the strings are known and the segment shells
-    /// are warm.
+    /// Appends an event named by strings: interns both (two hash
+    /// lookups) and records them by id. The backplane's modules resolve
+    /// their trace names once instead and record by cached id, with no
+    /// hashing per entry.
     pub fn record(
         &mut self,
         at: u64,
@@ -197,21 +232,59 @@ impl TraceLog {
         label: impl AsRef<str>,
         values: impl AsRef<[Value]>,
     ) {
-        let source = self.interner.intern(source.as_ref());
-        let label = self.interner.intern(label.as_ref());
-        self.push(at, source, label, values.as_ref());
+        let source = self.intern(source.as_ref());
+        let label = self.intern(label.as_ref());
+        self.record_ids(at, source, label, values.as_ref());
     }
 
-    /// [`TraceLog::record`] for labels that already exist as `Arc<str>`
-    /// (IR trace statements): a first-sight label shares the `Arc`
-    /// instead of copying the string.
-    pub fn record_interned(&mut self, at: u64, source: &str, label: &Arc<str>, values: &[Value]) {
-        let source = self.interner.intern(source);
-        let label = self.interner.intern_arc(label);
-        self.push(at, source, label, values);
+    /// Interns a string, returning its id in this log.
+    pub(crate) fn intern(&mut self, s: &str) -> TraceId {
+        TraceId(self.interner.intern(s))
     }
 
-    fn push(&mut self, at: u64, source: u32, label: u32, values: &[Value]) {
+    /// The id of `name` in this log: its cached id when this log still
+    /// maps that id to the name's interned text, otherwise a fresh
+    /// intern (a refcount bump on first sight) that refreshes the
+    /// cache. The warm cost is a bounds check and a pointer compare.
+    pub(crate) fn resolve(&mut self, name: &mut TraceName) -> TraceId {
+        if let Some(id) = name.id {
+            if self
+                .interner
+                .names
+                .get(id.0 as usize)
+                .is_some_and(|n| Arc::ptr_eq(n, &name.text))
+            {
+                return id;
+            }
+        }
+        let raw = self.interner.intern_arc(&name.text);
+        name.text = Arc::clone(&self.interner.names[raw as usize]);
+        name.id = Some(TraceId(raw));
+        TraceId(raw)
+    }
+
+    /// Appends an event by interned ids — the single recording path.
+    /// Steady-state cost: POD/`Value` appends into pre-grown segment
+    /// vectors, no hashing, and no allocation once the segment shells
+    /// are warm.
+    ///
+    /// # Panics
+    ///
+    /// Ids must come from this log (or the log it was cloned from);
+    /// an id this log never issued panics when the entry is read or
+    /// spilled.
+    pub(crate) fn record_ids(
+        &mut self,
+        at: u64,
+        source: TraceId,
+        label: TraceId,
+        values: &[Value],
+    ) {
+        debug_assert!(
+            (source.0.max(label.0) as usize) < self.interner.names.len(),
+            "trace id issued by another log"
+        );
+        let (source, label) = (source.0, label.0);
         if self.segs.last().is_none_or(|s| s.recs.len() >= SEG_ENTRIES) {
             let seg = self.free.pop().unwrap_or_default();
             self.segs.push(seg);

@@ -1,4 +1,4 @@
-//! Binary trace stream — the [`TraceLog`](crate::TraceLog) counterpart
+//! Binary trace stream — the [`TraceLog`] counterpart
 //! of the kernel's `vcd` waveform writer: a compact, append-only record
 //! stream for archiving trace logs (whole-log [`write_log`]) and for
 //! the log's incremental spill mode

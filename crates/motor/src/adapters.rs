@@ -90,7 +90,7 @@ impl MotorCosim {
                 ctx.drive(ack, Value::Bit(Bit::One));
                 trace
                     .borrow_mut()
-                    .record(ctx.now().as_fs(), "motor", "pulse", vec![Value::Int(n)]);
+                    .record(ctx.now().as_fs(), "motor", "pulse", [Value::Int(n)]);
             } else if strobe_v == Bit::Zero && ack_v == Bit::One {
                 ctx.drive(ack, Value::Bit(Bit::Zero));
             }
@@ -162,7 +162,7 @@ impl Peripheral for MotorPeripheral {
             let n = i64::from(read(cmd) as u16 as i16);
             motor.command_pulses(n);
             write(bank, ack, 1);
-            trace.record(now_fs, "motor", "pulse", vec![Value::Int(n)]);
+            trace.record(now_fs, "motor", "pulse", [Value::Int(n)]);
         } else if strobe_v == 0 && ack_v == 1 {
             write(bank, ack, 0);
         }

@@ -17,6 +17,11 @@
 //! resume every few cycles through the kernel's one-shot wake
 //! subscriptions.
 //!
+//! The motor gate co-simulates the paper's case study: its modules
+//! talk over FSM handshake units, so warm cycles cross the per-caller
+//! protocol sessions, the bind-time resolved call sites and the motor
+//! adapter's trace records.
+//!
 //! The board gate places the motor controller's three synthesized
 //! netlists on a [`Fabric`] and pins warm fabric ticks (bank sampling,
 //! event-driven netlist evaluation, the two-phase write commit) to zero
@@ -30,9 +35,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cosma::board::{Fabric, WireBank};
 use cosma::cosim::scenario::{build_scenario, DomainsSpec, LinkKind, ScenarioSpec, Topology};
+use cosma::cosim::CosimConfig;
 use cosma::cosim::{BusTiming, SchedulingConfig};
 use cosma::motor::{
-    core_module, motor_link_unit, position_module, swhw_link_unit, timer_module, MotorConfig,
+    build_cosim, core_module, motor_link_unit, position_module, swhw_link_unit, timer_module,
+    MotorConfig,
 };
 use cosma::sim::Duration;
 use cosma::synth::{flatten_module, synthesize_hw, Encoding};
@@ -244,6 +251,51 @@ fn warm_park_resume_churn_does_not_allocate() {
     assert_eq!(
         grew, 0,
         "warm park/resume churn must not allocate, saw {grew} allocations"
+    );
+}
+
+#[test]
+fn warm_motor_cosim_cycles_do_not_allocate() {
+    let _serial = GATE.lock().unwrap();
+    // The case study at 40 segments of 100 counts: the distribution
+    // software and the Speed Control hardware exchange positions and
+    // pulse commands over the swhw and mlink handshake units the whole
+    // window, and the motor adapter records every pulse.
+    let cfg = MotorConfig {
+        segments: 40,
+        segment_len: 100,
+        ..MotorConfig::default()
+    };
+    let mut sys = build_cosim(&cfg, CosimConfig::default()).expect("motor system builds");
+    sys.cosim
+        .trace_handle()
+        .borrow_mut()
+        .set_spill(Box::new(std::io::sink()));
+    sys.cosim
+        .run_for(Duration::from_us(1_200))
+        .expect("warm-up runs");
+    let calls = |sys: &cosma::motor::CosimMotorSystem| -> u64 {
+        ["swhw", "mlink"]
+            .iter()
+            .map(|u| {
+                let stats = sys.cosim.unit_stats(u).expect("unit exists");
+                stats.services.values().map(|s| s.calls).sum::<u64>()
+            })
+            .sum()
+    };
+    let (calls_before, pulses_before) = (calls(&sys), sys.motor.borrow().position());
+    let before = allocs();
+    sys.cosim
+        .run_for(Duration::from_us(400))
+        .expect("window runs");
+    let grew = allocs() - before;
+    assert!(
+        calls(&sys) > calls_before && sys.motor.borrow().position() > pulses_before,
+        "the window must keep calling the handshake units and moving the motor"
+    );
+    assert_eq!(
+        grew, 0,
+        "warm motor co-simulation cycles must not allocate, saw {grew} allocations"
     );
 }
 

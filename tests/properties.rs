@@ -1827,3 +1827,173 @@ proptest! {
         prop_assert_eq!(fast.now(), oracle.now());
     }
 }
+
+// ---------------------------------------------------------------------
+// Resolved comm-unit state checkpoints: FSM runtimes and batched links
+// keep sessions and counters by service position. Random put/get call
+// sequences — mixed spellings, unknown services, wrong arities — with
+// a capture/restore into a fresh unit in the middle must match an
+// uninterrupted run: every outcome (typed errors included), `stats()`
+// and `capture_state()`.
+// ---------------------------------------------------------------------
+
+/// Service spellings the call sequences draw from: canonical, upper-
+/// and mixed-case, and unknown.
+const CALL_SPELLINGS: [&str; 6] = ["put", "PUT", "Put", "get", "GET", "bogus"];
+
+/// One step of a checkpointed call sequence: a service call (caller,
+/// spelling index, argument count) followed, optionally, by a
+/// background step.
+fn arb_unit_op() -> impl Strategy<Value = (u64, usize, usize, bool)> {
+    (
+        1u64..3,
+        0usize..CALL_SPELLINGS.len(),
+        0usize..3,
+        any::<bool>(),
+    )
+}
+
+/// A checkpointable unit flavour under the call-sequence property.
+trait CheckpointedUnit: Sized {
+    type State: Clone + PartialEq + std::fmt::Debug;
+    fn fresh() -> Self;
+    fn wires(&self) -> cosma::comm::LocalWires;
+    fn call(
+        &mut self,
+        caller: CallerId,
+        service: &str,
+        args: &[Value],
+        wires: &mut cosma::comm::LocalWires,
+    ) -> Result<cosma::core::ServiceOutcome, cosma::core::EvalError>;
+    fn background(&mut self, wires: &mut cosma::comm::LocalWires);
+    fn capture(&self) -> Self::State;
+    fn restore(&mut self, state: &Self::State);
+    fn stats(&self) -> cosma::comm::UnitStats;
+}
+
+impl CheckpointedUnit for cosma::comm::FsmUnitRuntime {
+    type State = cosma::comm::FsmUnitState;
+    fn fresh() -> Self {
+        Self::new(cosma::comm::handshake_unit("hs", Type::INT16))
+    }
+    fn wires(&self) -> cosma::comm::LocalWires {
+        cosma::comm::LocalWires::new(self.spec())
+    }
+    fn call(
+        &mut self,
+        caller: CallerId,
+        service: &str,
+        args: &[Value],
+        wires: &mut cosma::comm::LocalWires,
+    ) -> Result<cosma::core::ServiceOutcome, cosma::core::EvalError> {
+        Self::call(self, caller, service, args, wires)
+    }
+    fn background(&mut self, wires: &mut cosma::comm::LocalWires) {
+        self.step_controller(wires).unwrap();
+    }
+    fn capture(&self) -> Self::State {
+        self.capture_state()
+    }
+    fn restore(&mut self, state: &Self::State) {
+        self.restore_state(state).unwrap();
+    }
+    fn stats(&self) -> cosma::comm::UnitStats {
+        Self::stats(self)
+    }
+}
+
+impl CheckpointedUnit for cosma::comm::BatchedLink {
+    type State = cosma::comm::BatchedLinkState;
+    fn fresh() -> Self {
+        Self::new("bus", Type::INT16, 4, 8)
+    }
+    fn wires(&self) -> cosma::comm::LocalWires {
+        cosma::comm::LocalWires::new(self.spec())
+    }
+    fn call(
+        &mut self,
+        caller: CallerId,
+        service: &str,
+        args: &[Value],
+        wires: &mut cosma::comm::LocalWires,
+    ) -> Result<cosma::core::ServiceOutcome, cosma::core::EvalError> {
+        Self::call(self, caller, service, args, wires)
+    }
+    fn background(&mut self, wires: &mut cosma::comm::LocalWires) {
+        self.pump(wires, false).unwrap();
+    }
+    fn capture(&self) -> Self::State {
+        self.capture_state()
+    }
+    fn restore(&mut self, state: &Self::State) {
+        self.restore_state(state).unwrap();
+    }
+    fn stats(&self) -> cosma::comm::UnitStats {
+        Self::stats(self)
+    }
+}
+
+/// Runs `ops` on a fresh unit, moving its captured state into another
+/// fresh unit after `split` ops (`None`: uninterrupted). Returns every
+/// call outcome (typed errors included), the final stats and the final
+/// capture.
+fn run_checkpointed<U: CheckpointedUnit>(
+    ops: &[(u64, usize, usize, bool)],
+    split: Option<usize>,
+) -> (Vec<String>, cosma::comm::UnitStats, U::State) {
+    let mut unit = U::fresh();
+    let mut wires = unit.wires();
+    let mut log = vec![];
+    for (k, &(caller, spelling, arity, background)) in ops.iter().enumerate() {
+        if split == Some(k) {
+            let snap = unit.capture();
+            unit = U::fresh();
+            unit.restore(&snap);
+        }
+        let args: Vec<Value> = (0..arity).map(|i| Value::Int((k + i) as i64)).collect();
+        let out = unit.call(
+            CallerId(caller),
+            CALL_SPELLINGS[spelling],
+            &args,
+            &mut wires,
+        );
+        log.push(format!("{out:?}"));
+        if background {
+            unit.background(&mut wires);
+        }
+    }
+    (log, unit.stats(), unit.capture())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn fsm_unit_checkpoint_matches_uninterrupted_run(
+        ops in proptest::collection::vec(arb_unit_op(), 1..120),
+        split in 0usize..120,
+    ) {
+        type U = cosma::comm::FsmUnitRuntime;
+        let whole = run_checkpointed::<U>(&ops, None);
+        let cut = run_checkpointed::<U>(&ops, Some(split % ops.len()));
+        prop_assert_eq!(&cut.0, &whole.0);
+        prop_assert_eq!(&cut.1, &whole.1);
+        prop_assert_eq!(&cut.2, &whole.2);
+        prop_assert!(
+            whole.1.services.keys().all(|k| k == "put" || k == "get"),
+            "stats rows are canonical: {:?}", whole.1
+        );
+    }
+
+    #[test]
+    fn batched_link_checkpoint_matches_uninterrupted_run(
+        ops in proptest::collection::vec(arb_unit_op(), 1..120),
+        split in 0usize..120,
+    ) {
+        type U = cosma::comm::BatchedLink;
+        let whole = run_checkpointed::<U>(&ops, None);
+        let cut = run_checkpointed::<U>(&ops, Some(split % ops.len()));
+        prop_assert_eq!(&cut.0, &whole.0);
+        prop_assert_eq!(&cut.1, &whole.1);
+        prop_assert_eq!(&cut.2, &whole.2);
+    }
+}
